@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__, estimators, fem, qmc
+from . import OPENBLAS_NUM_THREADS, __version__, estimators, fem, qmc
 from .circulant_field import PaddingExhausted
 from .covariance import MaternParams, MeanField
 from .estimators import BudgetExceeded, LevelHierarchy, estimator_sweep
@@ -74,7 +74,6 @@ _DEFAULTS = {
     "variance_study": {"n_exp_min": 0, "n_exp_max": 9, "fit_n_exp_min": 3},
     "output": "runs/out",
     "seed": 2024,
-    "threads": 1,
 }
 
 
@@ -220,7 +219,6 @@ def build_hierarchy_from_config(cfg: RunConfig) -> LevelHierarchy:
         R=qcfg["R"], master_seed=cfg["seed"], kappa=ecfg["kappa"],
         base_vector=base, ce_tol=geo["ce_tol"],
         warmup_qmc=ecfg["warmup_qmc"], warmup_mc=ecfg["warmup_mc"],
-        threads=cfg["threads"],
     )
 
 
@@ -297,6 +295,7 @@ def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, manifest: dict,
     _write_json(outdir / "manifest.json", manifest)
     paths["manifest"] = outdir / "manifest.json"
     ledger = estimators.cost_ledger(hier, allocation)
+    ledger["openblas_num_threads"] = OPENBLAS_NUM_THREADS
     _write_json(outdir / "timing.json", ledger)
     paths["timing"] = outdir / "timing.json"
     rows = [(r["level"], float(r["ce_seconds_mean"]), float(r["fe_seconds_mean"]))
@@ -467,8 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap (overrides config)")
     return parser
 
 
@@ -481,13 +478,8 @@ def main(argv: Optional[list] = None) -> int:
         if args.config:
             with open(args.config) as fh:
                 raw = _deep_merge(raw, json.load(fh))
-        overrides = {}
         if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if overrides:
-            raw = _deep_merge(raw, overrides)
+            raw = _deep_merge(raw, {"seed": args.seed})
         cfg = RunConfig.from_dict(raw)
         outdir = args.out or os.environ.get("MLQMCGRAD_OUT") or cfg["output"]
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:

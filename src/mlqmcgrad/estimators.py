@@ -15,9 +15,8 @@ identical allocations; wall-clock times are recorded separately.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,8 +90,7 @@ class LevelHierarchy:
                  master_seed: int = 0, kappa: float = 2.5,
                  base_vector: Optional[qmc.GeneratingVector] = None,
                  ce_tol: float = 1e-13, solver_rtol: float = 1e-10,
-                 warmup_qmc: int = 2, warmup_mc: Optional[int] = None,
-                 threads: int = 1):
+                 warmup_qmc: int = 2, warmup_mc: Optional[int] = None):
         if L < 0:
             raise ValueError("L must be >= 0")
         self.kernel = kernel
@@ -108,7 +106,6 @@ class LevelHierarchy:
         # warmup_qmc points each), so method comparisons start from equal
         # per-level budgets and differ only in the point source
         self.warmup_mc = R * warmup_qmc if warmup_mc is None else warmup_mc
-        self.threads = threads
 
         base = base_vector if base_vector is not None else qmc.default_generating_vector()
         self.fe_levels: List[FeLevel] = []
@@ -247,9 +244,9 @@ class QmcLevelAccumulator:
 
     def refine(self):
         n_new = self.warmup if self.N == 0 else 2 * self.N
-        tasks = [(r, k) for r in range(self.R) for k in range(self.N, n_new)]
-        _accumulate(self.hier, tasks, self._evaluate,
-                    lambda r, vals: self.sums.__setitem__(r, self.sums[r] + vals))
+        for r in range(self.R):
+            for k in range(self.N, n_new):
+                self.sums[r] += self._evaluate(r, k)
         self.N = n_new
 
     def per_shift_means(self) -> np.ndarray:
@@ -309,16 +306,13 @@ class McLevelAccumulator:
 
     def refine(self):
         n_new = self.warmup if self.N == 0 else 2 * self.N
-
-        def reduce(_r, vals):
+        for k in range(self.N, n_new):
+            vals = self._evaluate(0, k)
             if self._ref is None:
                 self._ref = vals.copy()
             dev = vals - self._ref
             self.sum_dev += dev
             self.sum_dev2 += dev**2
-
-        tasks = [(0, k) for k in range(self.N, n_new)]
-        _accumulate(self.hier, tasks, self._evaluate, reduce)
         self.N = n_new
 
     @property
@@ -335,20 +329,6 @@ class McLevelAccumulator:
 
     def mean(self) -> FeFunction:
         return FeFunction(self.level, self._ref + self.sum_dev / self.N)
-
-
-def _accumulate(hier: LevelHierarchy, tasks: Sequence[Tuple[int, int]],
-                evaluate: Callable[[int, int], np.ndarray],
-                reduce: Callable[[int, np.ndarray], None]):
-    """Evaluate tasks (possibly in parallel), reduce in index order."""
-    if hier.threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=hier.threads) as pool:
-            results = list(pool.map(lambda rk: evaluate(*rk), tasks))
-        for (r, _k), vals in zip(tasks, results):
-            reduce(r, vals)
-    else:
-        for r, k in tasks:
-            reduce(r, evaluate(r, k))
 
 
 # -- spec-level wrappers -------------------------------------------------------

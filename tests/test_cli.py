@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlqmcgrad
 from mlqmcgrad import cli
 from mlqmcgrad.cli import (
     ConfigError,
@@ -243,6 +246,14 @@ class TestMainEntry:
         bad.write_text(json.dumps({"estimator": {"eps": [1, 2]}}))
         assert main(["run", "--config", str(bad)]) == 2
 
+    def test_threads_key_exit_2(self, tmp_path, capsys):
+        # the worker-thread option is gone; the key is an unknown section
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(dict(TINY, threads=2)))
+        assert main(["run", "--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "threads" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -266,6 +277,8 @@ class TestMainEntry:
         m = json.loads((out / "manifest.json").read_text())
         assert m["seed"] == 9
         assert m["config"]["problem"]["nu"] == 0.5
+        timing = json.loads((out / "timing.json").read_text())
+        assert timing["openblas_num_threads"] == mlqmcgrad.OPENBLAS_NUM_THREADS
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.json"
@@ -274,3 +287,21 @@ class TestMainEntry:
         monkeypatch.setenv("MLQMCGRAD_OUT", str(envdir))
         assert main(["run", "--config", str(cfgp)]) == 0
         assert (envdir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("env, preamble, expected", [
+    (None, "", "1 1"),
+    ("3", "", "3 3"),
+    (None, "import numpy; ", "None None"),
+])
+def test_openblas_threads_pinned_on_import(env, preamble, expected):
+    # the package pins OpenBLAS only when imported before numpy, and a
+    # value from the environment wins
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if env is not None:
+        child_env["OPENBLAS_NUM_THREADS"] = env
+    code = (preamble + "import os, mlqmcgrad; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), mlqmcgrad.OPENBLAS_NUM_THREADS)")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == expected.split()

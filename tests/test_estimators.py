@@ -331,13 +331,3 @@ class TestCostLedger:
         ledger = est.cost_ledger(hier)
         meds = [row["total_seconds_median"] for row in ledger["levels"]]
         assert meds[0] <= meds[1] <= meds[2]
-
-
-def test_threads_match_sequential():
-    grads = []
-    for threads in (1, 4):
-        hier = make_hierarchy(L=1, seed=8, threads=threads)
-        grads.append(est.mlqmc_gradient(hier, 1e-3))
-    assert np.array_equal(grads[0].gradient.nodal_values,
-                          grads[1].gradient.nodal_values)
-    assert grads[0].manifest == grads[1].manifest

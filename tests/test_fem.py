@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from mlqmcgrad import fem
 from mlqmcgrad.circulant_field import NestingViolation, UniformGrid, build_embedding, sample_field
@@ -45,6 +47,36 @@ class TestStiffness:
         Ai = A[levels[0].interior][:, levels[0].interior].toarray()
         assert np.abs(Ai - Ai.T).max() == 0.0
         assert np.linalg.eigvalsh(Ai).min() > 0.0
+
+
+def coo_stiffness(lev, a_elem):
+    """Reference assembly: scatter the scaled local matrices, coo -> csr."""
+    data = (a_elem[:, None, None] * lev._local_stiff).ravel()
+    rows = np.repeat(lev.triangles, 3, axis=1).ravel()
+    cols = np.tile(lev.triangles, (1, 3)).ravel()
+    return sp.coo_matrix((data, (rows, cols)),
+                         shape=(lev.num_nodes, lev.num_nodes)).tocsr()
+
+
+@settings(max_examples=25, deadline=None)
+@given(ell=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       log_spread=st.floats(0.0, 3.0))
+def test_fixed_pattern_matches_coo_assembly(levels, ell, seed, log_spread):
+    lev = levels[ell]
+    rng = np.random.default_rng(seed)
+    a_elem = np.exp(log_spread * rng.standard_normal(lev.num_triangles))
+    A = fem.assemble_stiffness(lev, a_elem)
+    ref = coo_stiffness(lev, a_elem)
+    ref.sort_indices()
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.all(np.abs(A.data - ref.data) <= 1e-15 * np.abs(ref.data))
+    A_int = fem._interior(lev, A)
+    ref_int = A[lev.interior][:, lev.interior]
+    ref_int.sort_indices()
+    assert np.array_equal(A_int.indptr, ref_int.indptr)
+    assert np.array_equal(A_int.indices, ref_int.indices)
+    assert np.array_equal(A_int.data, ref_int.data)
 
 
 class TestLoad:
@@ -123,10 +155,32 @@ class TestStateSolve:
         assert a_min * grad_sq <= work * (1 + 1e-12)
 
     def test_solver_diverged(self, levels):
-        ops = OperatorSet(levels, 2, 1.0)
+        # level 4 is above DIRECT_MAX_UNKNOWNS, so this is MG-PCG
+        ops = OperatorSet(levels, 4, 1.0)
         ops.maxiter = 1
         with pytest.raises(SolverDiverged):
+            fem.solve_state(levels, 4, 1.0, rhs, ops=ops)
+
+    def test_solver_diverged_direct(self, levels):
+        # level 2 is factorized; no residual can meet rtol = 0
+        ops = OperatorSet(levels, 2, 1.0, rtol=0.0)
+        with pytest.raises(SolverDiverged):
             fem.solve_state(levels, 2, 1.0, rhs, ops=ops)
+
+    def test_direct_matches_multigrid(self, levels):
+        emb = build_embedding(MaternParams(0.1, 1.0, 0.5),
+                              UniformGrid(dim=2, points_per_axis=9))
+        fld = sample_field(emb, MeanField(0.0),
+                           np.random.default_rng(6).standard_normal(emb.s))
+        ell, rtol = 3, 1e-10
+        ops = OperatorSet(levels, ell, fld, rtol=rtol)
+        assert ops.A_int.shape[0] <= fem.DIRECT_MAX_UNKNOWNS
+        b = fem.assemble_load(levels[ell], rhs)
+        x_direct = ops.solve(b).nodal_values[levels[ell].interior]
+        mg = fem._MgHierarchy(levels, ell, ops.A_int)
+        x_mg = fem._pcg(ops.A_int, b[levels[ell].interior], mg.apply, rtol,
+                        ops.maxiter)
+        assert np.linalg.norm(x_direct - x_mg) <= rtol * np.linalg.norm(x_mg)
 
 
 class TestAdjointSolve:
