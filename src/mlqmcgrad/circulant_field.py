@@ -12,9 +12,16 @@ degrees of freedom (a cosine and a sine direction), each self-conjugate
 frequency one, so s equals the extended grid size and every component of
 Y drives one fixed spatial direction -- the property quasi-Monte Carlo
 inputs need.
+
+A sample is synthesized from the half spectrum that a real inverse FFT
+reads: ``build_embedding`` maps every input coordinate to one real or
+imaginary slot of that spectrum, with a signed amplitude, so drawing a
+field is one scatter, an inverse FFT over each leading axis that keeps
+only the rows covering the physical grid, and ``irfft`` on the last axis.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,14 +101,12 @@ class CirculantEmbedding:
     s: int
     importance_order: np.ndarray     # shape (s,), permutation of range(s)
     clamped: int                     # eigenvalues clamped to zero
-    # internal coordinate bookkeeping (canonical order, see _coordinates)
-    _coord_eigs: np.ndarray = field(repr=False)       # eigenvalue per coordinate
-    _self_freq: np.ndarray = field(repr=False)        # flat freq of self-conjugate coords
-    _pair_freq: np.ndarray = field(repr=False)        # flat freq of pair owners
-    _pair_conj: np.ndarray = field(repr=False)        # flat freq of pair partners
-    _coord_self: np.ndarray = field(repr=False)       # coord index of self coords
-    _coord_cos: np.ndarray = field(repr=False)        # coord index of cosine coords
-    _coord_sin: np.ndarray = field(repr=False)        # coord index of sine coords
+    # internal coordinate bookkeeping (canonical order, see _spectrum_map)
+    _coord_eigs: np.ndarray = field(repr=False)   # eigenvalue per coordinate
+    # per input coordinate (importance order): slot in the float64 view of
+    # the complex half spectrum, and the amplitude that scales the input
+    _spec_pos: np.ndarray = field(repr=False)
+    _spec_amp: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -114,69 +119,102 @@ class FieldRealization:
     values: np.ndarray       # exp(log_values), same shape
 
 
-def _conjugate_index_maps(ext: int, dim: int):
-    """Pair every frequency of the (ext,)*dim grid with its conjugate.
-
-    Returns flat index arrays (self_idx, owner_idx, partner_idx) where a
-    frequency k is self-conjugate when -k == k (mod ext) on every axis,
-    and otherwise the smaller flat index of {k, -k} is the owner.
-    """
-    shape = (ext,) * dim
-    idx = np.indices(shape).reshape(dim, -1)
-    conj = (-idx) % ext
-    flat = np.ravel_multi_index(idx, shape)
-    conj_flat = np.ravel_multi_index(conj, shape)
-    self_mask = conj_flat == flat
-    owner_mask = flat < conj_flat
-    return flat[self_mask], flat[owner_mask], conj_flat[owner_mask]
-
-
-def _coordinates(eigs_flat: np.ndarray, ext: int, dim: int):
+def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     """Enumerate the s real coordinates of the factorization.
 
-    Canonical order: ascending owner frequency index, cosine before sine.
-    Returns the per-coordinate eigenvalues plus the index arrays used to
-    scatter a real input vector into a Hermitian spectrum.
+    Canonical order: ascending frequency index, one coordinate for a
+    self-conjugate frequency (-k == k mod ext on every axis), a cosine
+    then a sine coordinate for the smaller flat index of each pair
+    {k, -k}, none for its partner.  Input coordinates are ranked by
+    descending eigenvalue, ties broken by canonical index.
+
+    Returns the canonical per-coordinate eigenvalues, the importance
+    order, and per input coordinate its slot in the float64 view of the
+    half spectrum with the amplitude that scales it.  The half spectrum
+    keeps ext//2 + 1 bins of the last frequency axis and stores the axes
+    in reverse order, shape (ext//2+1,) + (ext,)*(dim-1), so the inverse
+    FFT over the first frequency axis runs along contiguous memory.
+
+    A pair lands on whichever of k, -k lies in the half spectrum; from -k
+    its sine amplitude changes sign.  ``irfft`` counts a bin strictly
+    inside the last axis twice (it and its mirror), so such a pair gets
+    sqrt(lambda/2).  On the planes k_last in {0, ext/2} both k and -k are
+    stored and ``irfft`` keeps only the real part of the leading-axes
+    transform, so the pair fills k alone with sqrt(2 lambda).  The factor
+    sqrt(s) undoes the 1/s of the inverse transforms.
     """
-    self_idx, owner_idx, partner_idx = _conjugate_index_maps(ext, dim)
-    n_self, n_pair = self_idx.size, owner_idx.size
-    s = n_self + 2 * n_pair
+    half = ext // 2 + 1
+    # flat index of the conjugate frequency -k (mod ext), axis by axis
+    neg = (-np.arange(ext)) % ext
+    conj = np.zeros((1,) * dim, dtype=np.int64)
+    for ax in range(dim):
+        shape = [1] * dim
+        shape[ax] = ext
+        conj = conj + (neg * ext ** (dim - 1 - ax)).reshape(shape)
+    conj = conj.ravel()
+    # one representative per self-conjugate frequency or pair: the smaller
+    # flat index, carrying 1 or 2 (cosine, sine) adjacent coordinates
+    rep = np.flatnonzero(conj >= np.arange(conj.size))
+    rep_conj = conj[rep]
+    del conj
+    count = 1 + (rep_conj != rep)
+    rep_eigs = eigs_flat[rep]
+    coord_eigs = np.repeat(rep_eigs, count)
+    s = coord_eigs.size
 
-    # canonical coordinate list: merge (freq, kind) sorted by freq then kind
-    freq = np.concatenate([self_idx, owner_idx, owner_idx])
-    kind = np.concatenate(
-        [np.zeros(n_self, dtype=np.int8),
-         np.zeros(n_pair, dtype=np.int8),
-         np.ones(n_pair, dtype=np.int8)]
-    )
-    order = np.lexsort((kind, freq))
-    coord_of = np.empty(s, dtype=np.int64)
-    coord_of[order] = np.arange(s)
+    # half-spectrum slot: k itself, or -k when k_last is past ext/2
+    lead, last = np.divmod(rep, ext)
+    mirrored = last >= half
+    lead[mirrored] = rep_conj[mirrored] // ext
+    last[mirrored] = ext - last[mirrored]
+    del rep, rep_conj
+    # flat index of the leading frequency axes in reverse order
+    n_lead = ext ** (dim - 1)
+    rev_lead = np.arange(n_lead).reshape((ext,) * (dim - 1)).T.ravel()
+    slot = last * n_lead + rev_lead[lead]
+    weight = np.where((last == 0) | (last == ext // 2), 2.0, 0.5)
+    weight[count == 1] = 1.0                       # self-conjugate
+    amp_rep = np.sqrt(s * weight * rep_eigs)
+    del lead, last, weight
 
-    coord_self = coord_of[:n_self]
-    coord_cos = coord_of[n_self:n_self + n_pair]
-    coord_sin = coord_of[n_self + n_pair:]
-
-    coord_eigs = np.empty(s)
-    coord_eigs[coord_self] = eigs_flat[self_idx]
-    coord_eigs[coord_cos] = eigs_flat[owner_idx]
-    coord_eigs[coord_sin] = eigs_flat[owner_idx]
-    return coord_eigs, self_idx, owner_idx, partner_idx, coord_self, coord_cos, coord_sin
+    # ranking representatives stably and expanding them ranks coordinates
+    # stably: a representative's coordinates share one eigenvalue
+    order = np.argsort(-rep_eigs, kind="stable")
+    first = np.cumsum(count) - count
+    count = count[order]
+    ends = np.cumsum(count)              # past each representative's inputs
+    sine = ends[count == 2] - 1          # input index of each sine coordinate
+    importance = np.repeat(first[order], count)
+    importance[sine] += 1
+    amp = np.repeat(amp_rep[order], count)
+    amp[ends[mirrored[order]] - 1] *= -1.0     # mirrored reps are pairs
+    pos = np.repeat(2 * slot[order], count)
+    pos[sine] += 1
+    return coord_eigs, importance, pos, amp
 
 
 def _circulant_column(kernel, grid: UniformGrid, ext: int) -> np.ndarray:
-    """First column of the nested circulant extension of the covariance."""
+    """First column of the nested circulant extension of the covariance.
+
+    The folded lag min(l, ext - l) takes ext//2 + 1 values per axis, so
+    the kernel is evaluated on that corner block and mirrored out.
+    """
     h = grid.spacing
-    lag = np.arange(ext)
-    lag = np.minimum(lag, ext - lag) * h
+    lag = np.arange(ext // 2 + 1) * h
     if grid.dim == 1:
         dist = lag
     else:
         mesh = np.meshgrid(*([lag] * grid.dim), indexing="ij")
         dist = np.sqrt(sum(m**2 for m in mesh))
     if callable(kernel):
-        return np.asarray(kernel(dist), dtype=float)
-    return matern_cov(kernel, dist)
+        block = np.asarray(kernel(dist), dtype=float)
+    else:
+        block = matern_cov(kernel, dist)
+    fold = np.arange(ext)
+    fold = np.minimum(fold, ext - fold)
+    for ax in range(grid.dim):
+        block = block.take(fold, axis=ax)
+    return block
 
 
 def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
@@ -198,34 +236,24 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     n = grid.points_per_axis
     ext = 2 * (n - 1)
     for _ in range(max_attempts + 1):
-        col = _circulant_column(kernel, grid, ext)
-        eigs = np.fft.fftn(col).real
+        eigs = np.fft.fftn(_circulant_column(kernel, grid, ext)).real
         max_eig = eigs.max()
         min_eig = eigs.min()
         if min_eig >= -tol * max_eig:
             clamped = int(np.count_nonzero(eigs < 0))
             eigs = np.maximum(eigs, 0.0)
-            eigs_flat = eigs.ravel()
-            coords = _coordinates(eigs_flat, ext, grid.dim)
-            coord_eigs = coords[0]
-            s = coord_eigs.size
-            # stable sort: canonical order already breaks ties by
-            # ascending frequency with cosine first
-            importance = np.argsort(-coord_eigs, kind="stable")
+            coord_eigs, importance, pos, amp = _spectrum_map(
+                eigs.ravel(), ext, grid.dim)
             return CirculantEmbedding(
                 grid=grid,
                 ext_per_axis=ext,
                 eigenvalues=eigs,
-                s=s,
+                s=coord_eigs.size,
                 importance_order=importance,
                 clamped=clamped,
                 _coord_eigs=coord_eigs,
-                _self_freq=coords[1],
-                _pair_freq=coords[2],
-                _pair_conj=coords[3],
-                _coord_self=coords[4],
-                _coord_cos=coords[5],
-                _coord_sin=coords[6],
+                _spec_pos=pos,
+                _spec_amp=amp,
             )
         ext *= 2
     raise PaddingExhausted(
@@ -234,11 +262,11 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     )
 
 
-def _grid_flat_in_ext(e: CirculantEmbedding) -> np.ndarray:
-    """Flat extended-grid indices of the physical grid points (C order)."""
-    n, dim, ext = e.grid.points_per_axis, e.grid.dim, e.ext_per_axis
-    idx = np.indices((n,) * dim).reshape(dim, -1)
-    return np.ravel_multi_index(idx, (ext,) * dim)
+def _check_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (e.s,):
+        raise ValueError(f"expected input of length s={e.s}, got {y.shape}")
+    return y
 
 
 def assign_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
@@ -248,9 +276,7 @@ def assign_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
     coordinate ``importance_order[r]``, so coordinate 0 is attached to
     the largest eigenvalue of the extension.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (e.s,):
-        raise ValueError(f"expected input of length s={e.s}, got {y.shape}")
+    y = _check_inputs(e, y)
     out = np.empty_like(y)
     out[e.importance_order] = y
     return out
@@ -261,25 +287,26 @@ def sample_field(e: CirculantEmbedding, zbar: MeanField, y: np.ndarray,
     """Draw the lognormal field for one vector of standard normals.
 
     ``y`` is consumed in importance order (coordinate 0 drives the
-    largest-eigenvalue direction).  Computes B y via one inverse FFT of
-    the Hermitian spectrum built from y -- B is never materialized --
-    then adds the mean and exponentiates.
+    largest-eigenvalue direction).  Computes B y from the Hermitian half
+    spectrum -- B is never materialized: one scatter of the scaled
+    inputs, an inverse FFT over each leading frequency axis that keeps
+    only the first n outputs (the physical grid), and one real inverse
+    FFT over the last axis.  Then adds the mean and exponentiates.
     """
-    y_canon = assign_inputs(e, y)
+    y = _check_inputs(e, y)
     dim, ext = e.grid.dim, e.ext_per_axis
-    shape = (ext,) * dim
-    spec = np.zeros(ext**dim, dtype=complex)
-    spec[e._self_freq] = y_canon[e._coord_self]
-    pair = (y_canon[e._coord_cos] + 1j * y_canon[e._coord_sin]) / np.sqrt(2.0)
-    spec[e._pair_freq] = pair
-    spec[e._pair_conj] = np.conj(pair)
-    spec *= np.sqrt(e.eigenvalues.ravel())
-    z_ext = np.sqrt(e.s) * np.fft.ifftn(spec.reshape(shape))
-    z_flat = z_ext.real.ravel()[_grid_flat_in_ext(e)]
-
     n = e.grid.points_per_axis
-    log_vals = z_flat + zbar.at(e.grid.points())
-    log_vals = log_vals.reshape((n,) * dim)
+    # frequency axes in reverse order, see _spectrum_map
+    spec_shape = (ext // 2 + 1,) + (ext,) * (dim - 1)
+    spec = np.zeros(2 * math.prod(spec_shape))
+    spec[e._spec_pos] = e._spec_amp * y
+    z = spec.view(complex).reshape(spec_shape)
+    for ax in range(dim - 1, 0, -1):
+        z = np.fft.ifft(z, axis=ax)[(slice(None),) * ax + (slice(n),)]
+    z = np.fft.irfft(z, n=ext, axis=0)[:n]
+
+    log_vals = np.ascontiguousarray(z.T)
+    log_vals += zbar.at(e.grid.points()).reshape((n,) * dim)
     return FieldRealization(level=level, grid=e.grid,
                             log_values=log_vals, values=np.exp(log_vals))
 
@@ -294,21 +321,15 @@ def factor_row(e: CirculantEmbedding, i: int) -> np.ndarray:
     if not (0 <= i < m):
         raise IndexError(f"grid point index {i} out of range [0, {m})")
     dim, ext = e.grid.dim, e.ext_per_axis
-    shape = (ext,) * dim
-    pt = np.unravel_index(_grid_flat_in_ext(e)[i], shape)
-
-    def angles(freq_flat: np.ndarray) -> np.ndarray:
-        k = np.stack(np.unravel_index(freq_flat, shape), axis=0)
-        return 2.0 * np.pi * sum(pt[ax] * k[ax] for ax in range(dim)) / ext
-
-    eigs_flat = e.eigenvalues.ravel()
+    pt = np.unravel_index(i, (e.grid.points_per_axis,) * dim)
+    slot, part = np.divmod(e._spec_pos, 2)
+    k = np.unravel_index(slot, (ext // 2 + 1,) + (ext,) * (dim - 1))[::-1]
+    theta = 2.0 * np.pi * sum(pt[ax] * k[ax] for ax in range(dim)) / ext
+    # irfft counts a bin strictly inside the last axis twice
+    mult = np.where((k[-1] == 0) | (k[-1] == ext // 2), 1.0, 2.0)
+    trig = np.where(part == 0, np.cos(theta), -np.sin(theta))
     row = np.empty(e.s)
-    th_self = angles(e._self_freq)
-    row[e._coord_self] = np.sqrt(eigs_flat[e._self_freq] / e.s) * np.cos(th_self)
-    th_pair = angles(e._pair_freq)
-    amp = np.sqrt(2.0 * eigs_flat[e._pair_freq] / e.s)
-    row[e._coord_cos] = amp * np.cos(th_pair)
-    row[e._coord_sin] = -amp * np.sin(th_pair)
+    row[e.importance_order] = e._spec_amp * mult * trig / e.s
     return row
 
 

@@ -91,6 +91,19 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require(ok: bool, where: str, what: str, value):
+    if not ok:
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Normalized run configuration (defaults filled in)."""
@@ -99,33 +112,76 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(raw) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        # sections with fixed keys reject unknown ones (typos would
+        # otherwise fall back to the default silently); the objective's
+        # field specs g and z stay free-form
+        for sec, val in raw.items():
+            if isinstance(_DEFAULTS[sec], dict):
+                _require(isinstance(val, dict), sec, "an object", val)
+                unknown = set(val) - set(_DEFAULTS[sec])
+                if unknown:
+                    raise ConfigError(f"unknown keys in {sec}: {sorted(unknown)}")
         data = _deep_merge(_DEFAULTS, raw)
         cls._validate(data)
         return cls(data=data)
 
     @staticmethod
     def _validate(data: dict):
+        ints = {  # (section, key): smallest allowed value
+            ("geometry", "L"): 0, ("geometry", "fe_offset"): 1,
+            ("geometry", "ce_offset"): 0, ("qmc", "R"): 2, ("qmc", "n_min"): 1,
+            ("qmc", "n_max"): 1, ("estimator", "warmup_qmc"): 1,
+            ("variance_study", "n_exp_min"): 0, ("variance_study", "n_exp_max"): 0,
+            ("variance_study", "fit_n_exp_min"): 0,
+        }
+        for (sec, key), lo in ints.items():
+            v = data[sec][key]
+            _require(_is_int(v) and v >= lo, f"{sec}.{key}", f"an integer >= {lo}", v)
+        positive = (("problem", "sigma2"), ("problem", "lambda_c"), ("problem", "nu"),
+                    ("estimator", "cost_cap"), ("estimator", "kappa"),
+                    ("objective", "alpha"))
+        for sec, key in positive:
+            v = data[sec][key]
+            _require(_is_number(v) and v > 0, f"{sec}.{key}", "a number > 0", v)
         geo, est_cfg, obj = data["geometry"], data["estimator"], data["objective"]
-        if not (0 <= geo["L"] <= MAX_LEVELS):
+        if geo["L"] > MAX_LEVELS:
             raise ConfigError(f"L must be in [0, {MAX_LEVELS}], got {geo['L']}")
+        if data["qmc"]["n_max"] < data["qmc"]["n_min"]:
+            raise ConfigError("qmc.n_max must be >= qmc.n_min")
+        vs_cfg = data["variance_study"]
+        if vs_cfg["n_exp_max"] < vs_cfg["n_exp_min"]:
+            raise ConfigError("variance_study.n_exp_max must be >= n_exp_min")
+        _require(_is_number(geo["ce_tol"]) and geo["ce_tol"] >= 0,
+                 "geometry.ce_tol", "a number >= 0", geo["ce_tol"])
+        mean = data["problem"]["mean"]
+        _require(_is_number(mean) and np.isfinite(mean), "problem.mean",
+                 "a finite number", mean)
+        warmup_mc = est_cfg["warmup_mc"]
+        _require(warmup_mc is None or (_is_int(warmup_mc) and warmup_mc >= 2),
+                 "estimator.warmup_mc", "null or an integer >= 2", warmup_mc)
         eps = est_cfg["eps"]
-        if not eps or any(e <= 0 for e in eps):
+        if not isinstance(eps, list) or not eps \
+                or not all(_is_number(e) and e > 0 for e in eps):
             raise ConfigError("estimator.eps must be positive values")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ConfigError("estimator.eps must be strictly descending")
         if est_cfg["method"] not in estimators.METHODS:
             raise ConfigError(
                 f"estimator.method must be one of {estimators.METHODS}")
-        if not (obj["alpha"] > 0):
-            raise ConfigError("objective.alpha must be > 0")
-        prob = data["problem"]
-        if prob["sigma2"] <= 0 or prob["lambda_c"] <= 0 or prob["nu"] <= 0:
-            raise ConfigError("problem parameters must be positive")
-        if data["qmc"]["R"] < 2:
-            raise ConfigError("qmc.R must be >= 2")
+        for key in ("g", "z"):
+            _require(isinstance(obj[key], dict), f"objective.{key}", "an object",
+                     obj[key])
+        gv = data["qmc"]["generating_vector"]
+        _require(gv is None or isinstance(gv, str), "qmc.generating_vector",
+                 "null or a path", gv)
+        _require(_is_int(data["seed"]) and data["seed"] >= 0, "seed",
+                 "an integer >= 0", data["seed"])
+        _require(isinstance(data["output"], str), "output", "a path", data["output"])
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.data)
@@ -331,6 +387,15 @@ def run_experiment(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
     return _finish(outdir, cfg, hier, manifest, paths, allocation)
 
 
+def _loglog_slope_or_reason(x: list, y: list, name: str):
+    """Log-log slope of y against x, or NaN and why it cannot be fitted."""
+    if len(x) < 2:
+        return float("nan"), "fewer than 2 points"
+    if min(y) <= 0:
+        return float("nan"), f"nonpositive {name}"
+    return estimators.fit_loglog_slope(x, y), ""
+
+
 def variance_study(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     """Per-level variance contributions over a dyadic sample sweep.
 
@@ -357,27 +422,26 @@ def variance_study(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
         for N, rv in zip(Ns, RVs):
             rows.append((ell, N, rv))
         fit_pts = [(n, rv) for n, rv in zip(Ns, RVs) if n >= 2**fit_lo]
-        slope = estimators.fit_loglog_slope(
-            [p[0] for p in fit_pts], [p[1] for p in fit_pts]
-        ) if len(fit_pts) >= 2 else float("nan")
+        slope, reason = _loglog_slope_or_reason(
+            [p[0] for p in fit_pts], [p[1] for p in fit_pts], "R_V")
         corr = fem.l2_norm(hier.fe_levels[ell], acc.mean())
         corr_norms[ell] = corr
-        slope_rows.append((ell, slope, corr))
+        slope_rows.append((ell, slope, corr, reason))
 
     manifest = _base_manifest(cfg)
     manifest["study"] = "variance_decay"
-    manifest["slopes"] = {str(ell): s for ell, s, _ in slope_rows}
-    manifest["corr_norms"] = {str(ell): c for ell, _, c in slope_rows}
+    manifest["slopes"] = {str(row[0]): row[1] for row in slope_rows}
+    manifest["corr_norms"] = {str(row[0]): row[2] for row in slope_rows}
     if hier.L >= 2:
         # decay exponent of the correction mean, reported but not asserted
         hs = [hier.fe_levels[ell].h for ell in range(1, hier.L + 1)]
-        manifest["rho_fitted"] = estimators.fit_loglog_slope(
-            hs, [corr_norms[ell] for ell in range(1, hier.L + 1)])
+        manifest["rho_fitted"] = _loglog_slope_or_reason(
+            hs, [corr_norms[ell] for ell in range(1, hier.L + 1)], "corr_norm")[0]
     paths = {}
     _write_csv(outdir / "variance_decay.csv", ["level", "N", "R_V"], rows)
     paths["variance_decay"] = outdir / "variance_decay.csv"
     _write_csv(outdir / "variance_slopes.csv",
-               ["level", "slope", "corr_norm"], slope_rows)
+               ["level", "slope", "corr_norm", "reason"], slope_rows)
     paths["variance_slopes"] = outdir / "variance_slopes.csv"
     return _finish(outdir, cfg, hier, manifest, paths)
 
@@ -477,7 +541,10 @@ def main(argv: Optional[list] = None) -> int:
             raw = preset_config(args.preset)
         if args.config:
             with open(args.config) as fh:
-                raw = _deep_merge(raw, json.load(fh))
+                loaded = json.load(fh)
+            if not isinstance(loaded, dict):
+                raise ConfigError("config must be a JSON object")
+            raw = _deep_merge(raw, loaded)
         if args.seed is not None:
             raw = _deep_merge(raw, {"seed": args.seed})
         cfg = RunConfig.from_dict(raw)

@@ -40,7 +40,6 @@ __all__ = [
     "SweepResult",
     "BudgetExceeded",
     "InsufficientShifts",
-    "build_hierarchy",
     "adjoint_solution",
     "coupled_sample",
     "qmc_level_estimate",
@@ -150,10 +149,6 @@ class LevelHierarchy:
         t.ce_seconds += ce
         t.fe_seconds += fe
         t.totals.append(ce + fe)
-
-
-def build_hierarchy(*args, **kwargs) -> LevelHierarchy:
-    return LevelHierarchy(*args, **kwargs)
 
 
 def adjoint_solution(hier: LevelHierarchy, ell: int,

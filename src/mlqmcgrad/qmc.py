@@ -21,8 +21,6 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .circulant_field import CirculantEmbedding, assign_inputs
-
 __all__ = [
     "GeneratingVector",
     "ShiftSet",
@@ -30,16 +28,15 @@ __all__ = [
     "sequence_point",
     "radical_inverse",
     "to_normal",
-    "assign_dimensions",
     "extend_vector",
     "load_generating_vector",
     "default_generating_vector",
     "shift_rng",
 ]
 
-# smallest/largest shifted components passed to the inverse normal CDF
+# shifted components are clamped to [_CLAMP_LO, 1 - _CLAMP_LO] before the
+# inverse normal CDF; 1 - 2^-53 is the largest double below 1
 _CLAMP_LO = 2.0**-53
-_CLAMP_HI = float(np.nextafter(1.0, 0.0))
 
 _DATA_FILE = Path(__file__).parent / "data" / "lattice_default.txt"
 # the packaged vector serves the rules with N = 2^DEFAULT_M_MIN .. 2^DEFAULT_M_MAX
@@ -137,15 +134,25 @@ def sequence_point(gv: GeneratingVector, k: int, delta: np.ndarray) -> np.ndarra
     The first 2^m sequence points equal the N = 2^m lattice rule as a
     set; consecutive dyadic blocks refine the rule without discarding
     earlier points.
+
+    With m the bit length of k and rev its m-bit reversal, the radical
+    inverse is rev / 2^m, so the lattice part frac(rev * z / 2^m) is
+    computed in integers and scaled exactly.  The result equals
+    ``((radical_inverse(k) * z) % 1 + delta) % 1`` bitwise: both sums
+    lie in [0, 2), where subtracting 1 is exact.
     """
     delta = np.asarray(delta, dtype=float)
     s = delta.size
     if len(gv) < s:
         raise ValueError(f"generating vector has {len(gv)} < s = {s} entries")
-    v = radical_inverse(k)
-    # v * z is an exact dyadic rational; reduce mod 1 before shifting so
-    # the result matches the integer-arithmetic lattice points bitwise
-    return ((v * gv.entries[:s]) % 1.0 + delta) % 1.0
+    m = int(k).bit_length()
+    rev = int(f"{int(k):b}"[::-1], 2) if m else 0
+    frac = np.multiply(gv.entries[:s], rev)
+    frac &= (1 << m) - 1
+    x = np.multiply(frac, 2.0**-m)
+    x += delta
+    x -= x >= 1.0
+    return x
 
 
 def _refine_quantile(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -177,31 +184,25 @@ def to_normal(xi: np.ndarray) -> np.ndarray:
     return _ndtri_refined(xi)
 
 
-def _ndtri_refined(xi: np.ndarray) -> np.ndarray:
+def _ndtri_refined(xi: np.ndarray, lo: float = 0.0) -> np.ndarray:
     # work on the lower tail only: 1 - xi is exact for xi >= 0.5, and
-    # absolute accuracy near 1 is only reachable through the symmetry
+    # absolute accuracy near 1 is only reachable through the symmetry;
+    # q = max(min(xi, 1 - xi), lo) also clamps both ends of the cube
     xi = np.atleast_1d(xi)
-    upper = xi > 0.5
-    q = np.where(upper, 1.0 - xi, xi)
-    y = np.atleast_1d(ndtri(q))
+    q = np.subtract(1.0, xi)
+    np.minimum(q, xi, out=q)
+    np.maximum(q, lo, out=q)
+    y = ndtri(q)
     tail = y < -4.0
-    if np.any(tail):
+    if tail.any():
         y[tail] = _refine_quantile(y[tail], q[tail])
-    return np.where(upper, -y, y)
+    # y <= 0 here; the upper half (xi > 0.5) takes the positive sign
+    return np.copysign(y, xi - 0.5, out=y)
 
 
 def cube_to_normal(xi: np.ndarray) -> np.ndarray:
-    """Clamp shifted cube points away from {0,1}, then map to normals."""
-    return _ndtri_refined(np.clip(xi, _CLAMP_LO, _CLAMP_HI))
-
-
-def assign_dimensions(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
-    """Route QMC coordinates to field directions by importance.
-
-    Coordinate 0 of ``y`` ends up driving the largest-eigenvalue
-    direction of the embedding.
-    """
-    return assign_inputs(e, y)
+    """Clamp shifted cube points to [2^-53, 1 - 2^-53], then map to normals."""
+    return _ndtri_refined(np.asarray(xi, dtype=float), _CLAMP_LO)
 
 
 def extend_vector(gv: GeneratingVector, s_needed: int,

@@ -2,10 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlqmcgrad.covariance import MaternParams, MeanField, matern_cov
 from mlqmcgrad.circulant_field import (
     FieldRealization,
+    _circulant_column,
     NestingViolation,
     UniformGrid,
     assign_inputs,
@@ -117,6 +119,119 @@ def test_sampling_statistics_smoke():
     emp = np.cov(zs.T)
     se = np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / nsamp)
     assert np.abs(emp - sigma).max() / se.max() < 5.0
+
+
+# -- references: the kernel on every lag and the full complex spectrum --------
+
+
+def reference_column(kernel, grid, ext):
+    """First circulant column with the kernel evaluated on all ext^d lags."""
+    lag = np.arange(ext)
+    lag = np.minimum(lag, ext - lag) * grid.spacing
+    if grid.dim == 1:
+        dist = lag
+    else:
+        mesh = np.meshgrid(*([lag] * grid.dim), indexing="ij")
+        dist = np.sqrt(sum(m**2 for m in mesh))
+    return matern_cov(kernel, dist)
+
+
+def reference_coordinates(eigs):
+    """Canonical coordinates of the full spectrum, sorted by (freq, kind).
+
+    Returns the eigenvalue per coordinate and the flat frequencies of the
+    self-conjugate coordinates, of the pair owners (cosine and sine) and
+    of their partners, with each group's canonical coordinate indices.
+    """
+    shape, ext, dim = eigs.shape, eigs.shape[0], eigs.ndim
+    idx = np.indices(shape).reshape(dim, -1)
+    flat = np.ravel_multi_index(idx, shape)
+    conj = np.ravel_multi_index((-idx) % ext, shape)
+    self_f, own_f = flat[conj == flat], flat[flat < conj]
+    part_f = conj[flat < conj]
+    n_self, n_pair = self_f.size, own_f.size
+    freq = np.concatenate([self_f, own_f, own_f])
+    kind = np.concatenate([np.zeros(n_self + n_pair, np.int8), np.ones(n_pair, np.int8)])
+    coord_of = np.empty(freq.size, dtype=np.int64)
+    coord_of[np.lexsort((kind, freq))] = np.arange(freq.size)
+    c_self, c_cos = coord_of[:n_self], coord_of[n_self:n_self + n_pair]
+    c_sin = coord_of[n_self + n_pair:]
+    coord_eigs = np.empty(freq.size)
+    coord_eigs[c_self] = eigs.ravel()[self_f]
+    coord_eigs[c_cos] = coord_eigs[c_sin] = eigs.ravel()[own_f]
+    return coord_eigs, (self_f, own_f, part_f), (c_self, c_cos, c_sin)
+
+
+def reference_synthesis(emb, y):
+    """sqrt(s) * Re(ifftn) of the full Hermitian spectrum on the grid."""
+    eigs = emb.eigenvalues
+    _, (self_f, own_f, part_f), (c_self, c_cos, c_sin) = reference_coordinates(eigs)
+    y_canon = np.empty(emb.s)
+    y_canon[emb.importance_order] = y
+    spec = np.zeros(eigs.size, dtype=complex)
+    spec[self_f] = y_canon[c_self]
+    pair = (y_canon[c_cos] + 1j * y_canon[c_sin]) / np.sqrt(2.0)
+    spec[own_f] = pair
+    spec[part_f] = np.conj(pair)
+    spec *= np.sqrt(eigs.ravel())
+    z = np.sqrt(emb.s) * np.fft.ifftn(spec.reshape(eigs.shape)).real
+    return z[(slice(emb.grid.points_per_axis),) * emb.grid.dim]
+
+
+# small grids in 1-3 dimensions; 3-d grids keep short correlation lengths
+# so that the padded spectrum stays below 2^15 entries
+grid_cases = st.tuples(
+    st.integers(1, 3), st.integers(2, 9), st.sampled_from([0.1, 0.3, 1.0])
+).map(lambda t: (t[0], min(t[1], 5) if t[0] == 3 else t[1],
+                 min(t[2], 0.3) if t[0] == 3 else t[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=grid_cases, nu=st.sampled_from([0.5, 1.5, 2.5]), doublings=st.integers(0, 2))
+def test_column_bitwise_equals_all_lag_evaluation(case, nu, doublings):
+    dim, n, lam = case
+    kernel = MaternParams(sigma2=0.1, lambda_c=lam, nu=nu)
+    grid = UniformGrid(dim=dim, points_per_axis=n)
+    ext = 2 * (n - 1) * 2**doublings
+    col = _circulant_column(kernel, grid, ext)
+    assert col.shape == (ext,) * dim
+    assert col.tobytes() == reference_column(kernel, grid, ext).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=grid_cases, nu=st.sampled_from([0.5, 1.5, 2.5]))
+def test_embedding_spectrum_and_order_bitwise(case, nu):
+    dim, n, lam = case
+    kernel = MaternParams(sigma2=0.1, lambda_c=lam, nu=nu)
+    emb = build_embedding(kernel, UniformGrid(dim=dim, points_per_axis=n))
+    col = reference_column(kernel, emb.grid, emb.ext_per_axis)
+    eigs = np.maximum(np.fft.fftn(col).real, 0.0)
+    assert emb.eigenvalues.tobytes() == eigs.tobytes()
+    coord_eigs = reference_coordinates(eigs)[0]
+    assert emb.s == coord_eigs.size == emb.ext_per_axis**dim
+    assert emb._coord_eigs.tobytes() == coord_eigs.tobytes()
+    assert np.array_equal(emb.importance_order,
+                          np.argsort(-coord_eigs, kind="stable"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=grid_cases, nu=st.sampled_from([0.5, 2.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_field_matches_full_spectrum_synthesis(case, nu, seed):
+    dim, n, lam = case
+    emb = build_embedding(MaternParams(sigma2=0.1, lambda_c=lam, nu=nu),
+                          UniformGrid(dim=dim, points_per_axis=n))
+    y = np.random.default_rng(seed).standard_normal(emb.s)
+    ref = reference_synthesis(emb, y)
+    fld = sample_field(emb, MeanField(0.25), y, level=3)
+    assert fld.log_values.shape == (n,) * dim and fld.level == 3
+    assert fld.log_values.flags.c_contiguous
+    assert np.abs(fld.log_values - 0.25 - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.array_equal(fld.values, np.exp(fld.log_values))
+    # the dense factor rows agree with the synthesis at the grid corners
+    for i in (0, emb.grid.num_points - 1):
+        assert abs(factor_row(emb, i) @ assign_inputs(emb, y) - ref.flat[i]) \
+            <= 1e-10 * np.abs(ref).max()
 
 
 def test_input_length_mismatch():

@@ -184,6 +184,7 @@ class TestDeterminism:
 
 
 class TestVarianceStudy:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_objective_all_zero_rows(self, tmp_path):
         cfg = RunConfig.from_dict({
             "geometry": {"L": 1},
@@ -195,6 +196,12 @@ class TestVarianceStudy:
         rows = list(csv.DictReader((tmp_path / "variance_decay.csv").open()))
         assert rows
         assert all(float(r["R_V"]) == 0.0 for r in rows)
+        # zero R_V has no log-log slope: NaN with the reason recorded
+        slopes = list(csv.DictReader((tmp_path / "variance_slopes.csv").open()))
+        assert [int(r["level"]) for r in slopes] == [0, 1]
+        for r in slopes:
+            assert np.isnan(float(r["slope"]))
+            assert r["reason"] == "nonpositive R_V"
 
     def test_csv_structure(self, tmp_path):
         cfg = RunConfig.from_dict({
@@ -210,6 +217,8 @@ class TestVarianceStudy:
         assert ns == {2, 4, 8}
         slopes = list(csv.DictReader((tmp_path / "variance_slopes.csv").open()))
         assert {int(r["level"]) for r in slopes} == {0, 1}
+        assert all(r["reason"] == "" and np.isfinite(float(r["slope"]))
+                   for r in slopes)
         assert "slopes" in art.manifest
 
 
@@ -253,6 +262,30 @@ class TestMainEntry:
         assert main(["run", "--config", str(cfgp),
                      "--out", str(tmp_path / "o")]) == 2
         assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        ({"geometry": {"fe_offset": 0}}, "fe_offset"),
+        ({"geometry": {"L": "2"}}, "geometry.L"),
+        ({"estimator": {"warmup_qmc": 0}}, "warmup_qmc"),
+        ({"estimator": {"kappa": -1}}, "kappa"),
+        ({"geometry": {"Ll": 3}}, "Ll"),
+    ], ids=["fe_offset_0", "L_string", "warmup_qmc_0", "kappa_negative",
+            "unknown_geometry_key"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, override, key):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(cli._deep_merge(TINY, override)))
+        assert main(["run", "--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_field_specs_stay_free_form(self):
+        cfg = RunConfig.from_dict(
+            {"objective": {"z": {"kind": "constant", "value": 2.0, "note": "x"}}})
+        assert cfg["objective"]["z"]["note"] == "x"
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"objective": {"zz": {"kind": "zero"}}})
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import erfc, ndtri
 
-from mlqmcgrad import qmc
-from mlqmcgrad.circulant_field import UniformGrid, build_embedding
+from mlqmcgrad.circulant_field import UniformGrid, assign_inputs, build_embedding
 from mlqmcgrad.covariance import MaternParams
 from mlqmcgrad.qmc import (
     GeneratingVector,
@@ -79,6 +80,67 @@ class TestSequence:
         assert seq == rule
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(0, 2**20 - 1), s=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1), edge=st.booleans())
+    @example(k=0, s=3, seed=0, edge=True)
+    @example(k=2**20 - 1, s=64, seed=1, edge=True)
+    def test_matches_float_radical_inverse_form(self, k, s, seed, edge):
+        # the float form the integer lattice point must reproduce bitwise
+        rng = np.random.default_rng(seed)
+        z = gv(2 * rng.integers(0, 2**19, size=s) + 1)
+        delta = rng.random(s)
+        lattice = (radical_inverse(k) * z.entries) % 1.0
+        if edge:  # shifts at the ends of [0, 1), and shifts that put the
+            # lattice part plus shift exactly on 1
+            delta[::3] = np.nextafter(1.0, 0.0)
+            delta[1::3] = (1.0 - lattice[1::3]) % 1.0
+        ref = (lattice + delta) % 1.0
+        pt = sequence_point(z, k, delta)
+        assert pt.dtype == np.float64
+        assert pt.tobytes() == ref.tobytes()
+
+
+def reference_cube_to_normal(xi):
+    """Clamp-then-reflect inverse normal map, with its Newton tail refinement."""
+    xi = np.clip(xi, 2.0**-53, np.nextafter(1.0, 0.0))
+    upper = xi > 0.5
+    q = np.where(upper, 1.0 - xi, xi)
+    y = np.atleast_1d(ndtri(q))
+    tail = y < -4.0
+    if np.any(tail):
+        yt, qt = y[tail], q[tail]
+        for _ in range(2):
+            cdf = 0.5 * erfc(-yt / np.sqrt(2.0))
+            pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * yt * yt)
+            yt = yt - (cdf - qt) / pdf
+        y[tail] = yt
+    return np.where(upper, -y, y)
+
+
+SPECIAL_POINTS = [0.0, 1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53, 1e-300, 1e-30,
+                  1e-6, 1.0 - 1e-6, 3e-5, 1.0 - 3e-5, float(np.nextafter(0.5, 0.0)),
+                  float(np.nextafter(0.5, 1.0))]
+
+
+class TestCubeToNormal:
+    def test_special_points_bitwise(self):
+        xi = np.array(SPECIAL_POINTS)
+        y = cube_to_normal(xi)
+        assert y.tobytes() == reference_cube_to_normal(xi).tobytes()
+        assert np.any(np.abs(y) > 4.0)  # the refined tail is exercised
+
+    @settings(max_examples=200, deadline=None)
+    @given(xi=st.lists(st.one_of(st.floats(0.0, 1.0),
+                                 st.floats(0.0, 1e-4),
+                                 st.floats(1.0 - 1e-4, 1.0),
+                                 st.sampled_from(SPECIAL_POINTS)),
+                       min_size=1, max_size=50))
+    def test_bitwise_equal_to_reference(self, xi):
+        xi = np.array(xi)
+        assert cube_to_normal(xi).tobytes() == reference_cube_to_normal(xi).tobytes()
+
+
 class TestToNormal:
     def test_median(self):
         assert to_normal(np.array([0.5]))[0] == 0.0
@@ -140,7 +202,7 @@ class TestAssignDimensions:
         order = np.arange(emb.s)
         object.__setattr__(emb, "importance_order", order)
         y = np.random.default_rng(1).standard_normal(emb.s)
-        assert np.array_equal(qmc.assign_dimensions(emb, y), y)
+        assert np.array_equal(assign_inputs(emb, y), y)
 
     def test_swap_case(self):
         emb = self.emb
@@ -148,7 +210,7 @@ class TestAssignDimensions:
         order[[0, 1]] = order[[1, 0]]
         object.__setattr__(emb, "importance_order", order)
         y = np.arange(float(emb.s))
-        out = qmc.assign_dimensions(emb, y)
+        out = assign_inputs(emb, y)
         assert out[1] == 0.0 and out[0] == 1.0
         assert np.array_equal(out[2:], y[2:])
 
@@ -158,12 +220,12 @@ class TestAssignDimensions:
         perm = rng.permutation(emb.s)
         object.__setattr__(emb, "importance_order", perm)
         y = rng.standard_normal(emb.s)
-        out = qmc.assign_dimensions(emb, y)
+        out = assign_inputs(emb, y)
         assert np.array_equal(out[perm], y)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            qmc.assign_dimensions(self.emb, np.zeros(self.emb.s - 1))
+            assign_inputs(self.emb, np.zeros(self.emb.s - 1))
 
 
 class TestExtendVector:
