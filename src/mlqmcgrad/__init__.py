@@ -5,8 +5,8 @@ Subpackage layout:
 
 - ``covariance``: Matern covariance kernels.
 - ``circulant_field``: circulant-embedding sampling of the lognormal field.
-- ``fem``: P1 finite elements, state/adjoint solves (sparse LU or
-  multigrid-PCG by system size).
+- ``fem``: P1 finite elements, state/adjoint solves sharing one banded
+  Cholesky factor.
 - ``qmc``: rank-1 lattice rules, random shifting, inverse normal map.
 - ``cbc``: embedded CBC construction of the default lattice vector.
 - ``estimators``: MC/QMC/MLMC/MLQMC gradient estimators and allocation.

@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 MAX_LEVELS = 6
+# The finest FE mesh has 2^(fe_offset + L) + 1 nodes per axis.  Its banded
+# Cholesky factor grows as N^1.5 in the N nodes: 134 MB at 257^2, about
+# 1 GB at 513^2, so meshes stop at 257 nodes per axis.
+MAX_FE_EXPONENT = 8
 
 _DEFAULTS = {
     "problem": {"sigma2": 0.1, "lambda_c": 1.0, "nu": 0.5, "mean": 0.0},
@@ -151,6 +155,11 @@ class RunConfig:
         geo, est_cfg, obj = data["geometry"], data["estimator"], data["objective"]
         if geo["L"] > MAX_LEVELS:
             raise ConfigError(f"L must be in [0, {MAX_LEVELS}], got {geo['L']}")
+        if geo["fe_offset"] + geo["L"] > MAX_FE_EXPONENT:
+            raise ConfigError(
+                f"geometry.fe_offset + L must be <= {MAX_FE_EXPONENT} (finest mesh "
+                f"at most {2 ** MAX_FE_EXPONENT + 1} nodes per axis), "
+                f"got {geo['fe_offset']} + {geo['L']}")
         if data["qmc"]["n_max"] < data["qmc"]["n_min"]:
             raise ConfigError("qmc.n_max must be >= qmc.n_min")
         vs_cfg = data["variance_study"]

@@ -8,13 +8,10 @@ three-point edge-midpoint rule (exact for quadratics).
 
 The stiffness matrix is assembled into a CSR pattern fixed per level,
 and its Dirichlet-eliminated interior block is gathered by precomputed
-positions.  The solver is chosen by the size of that block: up to
-``DIRECT_MAX_UNKNOWNS`` (1,000) unknowns, where scipy's per-call
-overhead dominates multigrid, it is factorized once per sampled field
-with a sparse LU that the state and adjoint solves share; larger blocks
-use conjugate gradients preconditioned by a geometric multigrid V-cycle
-over the nested mesh hierarchy.  The measurements behind the threshold
-are given where it is defined.
+positions.  On the row-major grid that block is a band matrix with
+half-bandwidth m + 1 for m interior nodes per axis, so it is factorized
+once per sampled field with LAPACK's banded Cholesky (``dpbtrf``), and
+the state and adjoint solves share the factor (``dpbtrs``).
 """
 from __future__ import annotations
 
@@ -23,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .circulant_field import FieldRealization, NestingViolation, eval_field
 
@@ -35,8 +32,7 @@ __all__ = [
     "build_fe_level",
     "assemble_stiffness",
     "assemble_load",
-    "solve_state",
-    "solve_adjoint",
+    "OperatorSet",
     "prolong",
     "l2_norm",
     "integrate",
@@ -44,7 +40,7 @@ __all__ = [
 
 
 class SolverDiverged(RuntimeError):
-    """Iterative solver hit its iteration cap before the tolerance."""
+    """The operator could not be factorized, or a solve missed ``rtol``."""
 
 
 @dataclass
@@ -101,7 +97,6 @@ class FeLevel:
         self._build_mass()
         self._build_load_operator()
         self.prolongation: Optional[sp.csr_matrix] = None  # set by build_fe_level
-        self._P_interior = None  # lazy interior prolongation pair (P, P^T)
 
     # -- mesh construction -------------------------------------------------
 
@@ -143,8 +138,12 @@ class FeLevel:
     def _build_pattern(self):
         # CSR pattern of the stiffness and mass matrices (sorted, duplicates
         # merged), the pattern position of each of the 9 local entries per
-        # triangle, and the data positions of the Dirichlet-eliminated
-        # interior block, in that block's own CSR order
+        # triangle, the data positions of the Dirichlet-eliminated
+        # interior block, in that block's own CSR order, and those of its
+        # lower triangle with their flat positions in a C-ordered
+        # (n_int, kd + 1) band array, whose transpose is LAPACK's lower
+        # ``pb`` storage.  The half-bandwidth kd is at most m + 1 for m
+        # interior nodes per axis, the offset of the diagonal neighbour.
         M = self.num_nodes
         rows = np.repeat(self.triangles, 3, axis=1).ravel()   # (9*ntri,)
         cols = np.tile(self.triangles, (1, 3)).ravel()
@@ -157,9 +156,14 @@ class FeLevel:
         rows, cols = new_index[rows], new_index[cols]
         inner = (rows >= 0) & (cols >= 0)
         self._int_pos = np.flatnonzero(inner)
-        self._int_indices = cols[inner].astype(np.int32)
+        rows, cols = rows[inner], cols[inner]
+        self._int_indices = cols.astype(np.int32)
         self._int_indptr = np.searchsorted(
-            rows[inner], np.arange(self.interior.size + 1)).astype(np.int32)
+            rows, np.arange(self.interior.size + 1)).astype(np.int32)
+        lower = rows >= cols
+        self._band_kd = int((rows - cols).max())
+        self._band_pos = self._int_pos[lower]
+        self._band_flat = cols[lower] * (self._band_kd + 1) + (rows - cols)[lower]
 
     def _assemble(self, local_data: np.ndarray) -> sp.csr_matrix:
         """Sum (ntri, 3, 3) local matrices into the level's CSR pattern."""
@@ -320,46 +324,7 @@ def assemble_load(lev: FeLevel, f: Union[Callable, np.ndarray],
     return b
 
 
-# -- solvers: sparse LU or multigrid-preconditioned CG -------------------------
-
-
-class _MgHierarchy:
-    """Galerkin multigrid data for one assembled operator."""
-
-    def __init__(self, levels: Sequence[FeLevel], top: int, A_int: sp.csr_matrix):
-        self.levels = levels
-        self.top = top
-        self.A = {}
-        self.P = {}
-        self.PT = {}
-        self.A[top] = A_int
-        for k in range(top, 0, -1):
-            fine = levels[k]
-            if fine._P_interior is None:
-                P_int = fine.prolongation[fine.interior][:, levels[k - 1].interior]
-                fine._P_interior = (P_int.tocsr(), P_int.T.tocsr())
-            self.P[k], self.PT[k] = fine._P_interior
-            A_int = (self.PT[k] @ A_int @ self.P[k]).tocsr()
-            self.A[k - 1] = A_int
-        self.coarse_solve = spla.factorized(self.A[0].tocsc())
-        self.inv_diag = {k: 1.0 / self.A[k].diagonal() for k in self.A}
-
-    def _smooth(self, k: int, x, b, sweeps: int = 2, omega: float = 0.8):
-        A, d = self.A[k], self.inv_diag[k]
-        for _ in range(sweeps):
-            x = x + omega * d * (b - A @ x)
-        return x
-
-    def vcycle(self, k: int, b: np.ndarray) -> np.ndarray:
-        if k == 0:
-            return self.coarse_solve(b)
-        x = self._smooth(k, np.zeros_like(b), b)
-        r = b - self.A[k] @ x
-        x = x + self.P[k] @ self.vcycle(k - 1, self.PT[k] @ r)
-        return self._smooth(k, x, b)
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.vcycle(self.top, r)
+# -- solver: banded Cholesky ---------------------------------------------------
 
 
 def _interior(lev: FeLevel, A: sp.csr_matrix) -> sp.csr_matrix:
@@ -370,51 +335,22 @@ def _interior(lev: FeLevel, A: sp.csr_matrix) -> sp.csr_matrix:
                          shape=(n, n))
 
 
-def _pcg(A: sp.csr_matrix, b: np.ndarray, precond, rtol: float, maxiter: int):
-    """Preconditioned CG to relative residual ||b - Ax|| <= rtol ||b||."""
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros_like(b)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond(r)
-    p = z
-    rz = r @ z
-    for _ in range(maxiter):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        if np.linalg.norm(r) <= rtol * nb:
-            return x
-        z = precond(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverDiverged(
-        f"PCG did not reach rtol={rtol} within {maxiter} iterations"
-    )
-
-
-# Interior systems up to this size are factorized (splu); larger ones use
-# MG-PCG.  Measured per coupled sample (FE time, one OpenBLAS thread,
-# 2-core machine): at 961 unknowns, the largest system below it, the
-# factor cut it from 15 ms to 5 ms; at 3,969 it would save about 10 %
-# (22 ms to 20 ms) but add 1.8 MB, 2 %, to a problem-1 L = 4 run's peak
-# RSS; at 16,129 it is slower (107 ms against 81 ms), as its fill grows
-# faster than the multigrid work.
-DIRECT_MAX_UNKNOWNS = 1000
+def _lower_band(lev: FeLevel, A: sp.csr_matrix) -> np.ndarray:
+    """Lower band of the interior block of ``A`` in LAPACK ``pb`` storage:
+    an F-ordered ``(kd + 1, n_int)`` view with ``ab[r - c, c] = A_int[r, c]``."""
+    n, kd = lev.interior.size, lev._band_kd
+    band = np.zeros(n * (kd + 1))
+    band[lev._band_flat] = A.data[lev._band_pos]
+    return band.reshape(n, kd + 1).T
 
 
 class OperatorSet:
-    """Assembled operator plus its preconditioner for one coefficient.
+    """Assembled operator and its banded Cholesky factor for one coefficient.
 
     Built once per sampled field and reused for the state and adjoint
-    solves, which share the same bilinear form.  Interior systems of at
-    most ``DIRECT_MAX_UNKNOWNS`` unknowns are solved with their sparse LU
-    factor, larger ones by CG preconditioned with a multigrid V-cycle.
-    Either way a solve whose relative residual exceeds ``rtol`` raises
-    ``SolverDiverged``.
+    solves, which share the same bilinear form.  A factorization that
+    meets a non-positive pivot, or a solve whose relative residual
+    exceeds ``rtol`` (a NaN residual included), raises ``SolverDiverged``.
     """
 
     def __init__(self, levels: Sequence[FeLevel], top: int,
@@ -423,57 +359,32 @@ class OperatorSet:
         lev = levels[top]
         self.lev = lev
         self.rtol = rtol
-        self.A_int = _interior(lev, assemble_stiffness(lev, a))
-        self.direct = self.A_int.shape[0] <= DIRECT_MAX_UNKNOWNS
-        if self.direct:
-            # A_int is symmetric positive definite: its transpose is a free
-            # CSC view of it, and a symmetric ordering without pivoting is
-            # stable.  The LU solve stands in as _precond, so a wrapper that
-            # counts preconditioner applications sees one per direct solve.
-            self._precond = spla.splu(
-                self.A_int.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True}).solve
-        else:
-            self._precond = _MgHierarchy(levels, top, self.A_int).apply
-        self.maxiter = int(10 * np.sqrt(lev.num_nodes))
+        A = assemble_stiffness(lev, a)
+        self.A_int = _interior(lev, A)
+        # the F-ordered view is LAPACK's own layout, so f2py factors it in
+        # place instead of copying it
+        factor, info = dpbtrf(_lower_band(lev, A), lower=1, overwrite_ab=1)
+        if info != 0:
+            raise SolverDiverged(
+                f"banded Cholesky failed (info={info}): the interior "
+                f"operator is not positive definite")
+        # the factor's solve stands in as _precond, so a wrapper that
+        # counts preconditioner applications sees one per solve
+        self._precond = lambda b: dpbtrs(factor, b, lower=1)[0]
 
     def solve(self, b_full: np.ndarray) -> FeFunction:
         lev = self.lev
         b = b_full[lev.interior]
-        if self.direct:
-            x_int = self._precond(b)
-            res = np.linalg.norm(b - self.A_int @ x_int)
-            nb = np.linalg.norm(b)
-            if res > self.rtol * nb:
-                raise SolverDiverged(
-                    f"direct solve left relative residual {res / nb:.1e} "
-                    f"above rtol={self.rtol}")
-        else:
-            x_int = _pcg(self.A_int, b, self._precond, self.rtol, self.maxiter)
+        x_int = self._precond(b)
+        res = np.linalg.norm(b - self.A_int @ x_int)
+        nb = np.linalg.norm(b)
+        if not res <= self.rtol * nb:
+            raise SolverDiverged(
+                f"banded Cholesky solve left relative residual {res / nb:.1e} "
+                f"above rtol={self.rtol}")
         x = np.zeros(lev.num_nodes)
         x[lev.interior] = x_int
         return FeFunction(level=lev.level, nodal_values=x)
-
-
-def solve_state(levels: Sequence[FeLevel], top: int,
-                a: Union[FieldRealization, float], z: Callable,
-                ops: Optional[OperatorSet] = None) -> FeFunction:
-    """Solve the state equation -div(a grad u) = z at level ``top``."""
-    ops = ops or OperatorSet(levels, top, a)
-    b = assemble_load(levels[top], z)
-    return ops.solve(b)
-
-
-def solve_adjoint(levels: Sequence[FeLevel], top: int,
-                  a: Union[FieldRealization, float], u: FeFunction,
-                  g: Callable, ops: Optional[OperatorSet] = None) -> FeFunction:
-    """Solve the adjoint equation -div(a grad q) = u - g at level ``top``."""
-    ops = ops or OperatorSet(levels, top, a)
-    lev = levels[top]
-    u_quad = lev._quad_eval @ u.nodal_values
-    g_quad = g(lev.quad_points)
-    b = assemble_load(lev, u_quad - g_quad)
-    return ops.solve(b)
 
 
 def prolong(f: FeFunction, levels: Sequence[FeLevel], to: int) -> FeFunction:

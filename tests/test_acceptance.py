@@ -189,7 +189,8 @@ def test_criterion_5_fe_convergence():
 
     errs, max_res = [], 0.0
     for ell in range(5):
-        u = fem.solve_state(levels, ell, 1.0, rhs)
+        u = fem.OperatorSet(levels, ell, 1.0).solve(
+            fem.assemble_load(levels[ell], rhs))
         A = fem.assemble_stiffness(levels[ell], 1.0)
         idx = levels[ell].interior
         b = fem.assemble_load(levels[ell], rhs)[idx]

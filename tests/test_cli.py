@@ -269,8 +269,9 @@ class TestMainEntry:
         ({"estimator": {"warmup_qmc": 0}}, "warmup_qmc"),
         ({"estimator": {"kappa": -1}}, "kappa"),
         ({"geometry": {"Ll": 3}}, "Ll"),
+        ({"geometry": {"fe_offset": 8}}, "fe_offset + L"),
     ], ids=["fe_offset_0", "L_string", "warmup_qmc_0", "kappa_negative",
-            "unknown_geometry_key"])
+            "unknown_geometry_key", "finest_mesh_over_257"])
     def test_bad_value_exit_2(self, tmp_path, capsys, override, key):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(cli._deep_merge(TINY, override)))
@@ -300,6 +301,17 @@ class TestMainEntry:
         assert main(["run", "--config", str(cfgp),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_finite_coefficient_exit_3(self, tmp_path):
+        # exp overflows at this variance; the solver reports it, no traceback
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"problem": {"sigma2": 1e6},
+                                    "geometry": {"L": 2}, "seed": 3}))
+        out = subprocess.run([sys.executable, "-m", "mlqmcgrad", "run", "--config",
+                              str(cfgp), "--out", str(tmp_path / "o")],
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 3
+        assert "run failed" in out.stderr and "Traceback" not in out.stderr
+
     def test_run_via_main_with_preset_overlay(self, tmp_path):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(TINY))
@@ -320,6 +332,15 @@ class TestMainEntry:
         monkeypatch.setenv("MLQMCGRAD_OUT", str(envdir))
         assert main(["run", "--config", str(cfgp)]) == 0
         assert (envdir / "manifest.json").exists()
+
+
+def test_cli_import_leaves_out_sparse_linalg():
+    # the run path needs no sparse solver; importing one costs start-up
+    # time and resident memory
+    code = "import sys, mlqmcgrad.cli; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("env, preamble, expected", [

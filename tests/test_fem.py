@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from mlqmcgrad import fem
@@ -12,7 +13,7 @@ from mlqmcgrad.fem import FeFunction, OperatorSet, SolverDiverged
 @pytest.fixture(scope="module")
 def levels():
     levs = []
-    for ell in range(5):
+    for ell in range(6):
         levs.append(fem.build_fe_level(ell, 2 ** (2 + ell) + 1,
                                        levs[-1] if levs else None))
     return levs
@@ -24,6 +25,18 @@ def u_exact(x):
 
 def rhs(x):
     return 2 * np.pi**2 * u_exact(x)
+
+
+def solve_state(levels, ell, a, z, rtol=1e-10):
+    """State solve -div(a grad u) = z at level ``ell``."""
+    return OperatorSet(levels, ell, a, rtol=rtol).solve(fem.assemble_load(levels[ell], z))
+
+
+def solve_adjoint(levels, ell, a, u, g):
+    """Adjoint solve -div(a grad q) = u - g at level ``ell``."""
+    lev = levels[ell]
+    b = fem.assemble_load(lev, lev._quad_eval @ u.nodal_values - g(lev.quad_points))
+    return OperatorSet(levels, ell, a).solve(b)
 
 
 class TestStiffness:
@@ -110,7 +123,7 @@ class TestStateSolve:
     def test_manufactured_convergence(self, levels):
         errs = []
         for ell in range(4):
-            u = fem.solve_state(levels, ell, 1.0, rhs)
+            u = solve_state(levels, ell, 1.0, rhs)
             diff = FeFunction(ell, u.nodal_values - u_exact(levels[ell].nodes))
             errs.append(fem.l2_norm(levels[ell], diff))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -118,7 +131,7 @@ class TestStateSolve:
 
     def test_residual_tolerance(self, levels):
         ell = 3
-        u = fem.solve_state(levels, ell, 1.0, rhs)
+        u = solve_state(levels, ell, 1.0, rhs)
         A = fem.assemble_stiffness(levels[ell], 1.0)
         idx = levels[ell].interior
         Ai = A[idx][:, idx]
@@ -127,16 +140,16 @@ class TestStateSolve:
         assert res <= 1e-10
 
     def test_zero_control(self, levels):
-        u = fem.solve_state(levels, 1, 1.0, lambda x: np.zeros(x.shape[0]))
+        u = solve_state(levels, 1, 1.0, lambda x: np.zeros(x.shape[0]))
         assert np.all(u.nodal_values == 0.0)
 
     def test_coefficient_scaling(self, levels):
-        u1 = fem.solve_state(levels, 1, 1.0, rhs)
-        u4 = fem.solve_state(levels, 1, 4.0, rhs)
+        u1 = solve_state(levels, 1, 1.0, rhs)
+        u4 = solve_state(levels, 1, 4.0, rhs)
         assert np.allclose(u4.nodal_values, u1.nodal_values / 4.0, atol=1e-11)
 
     def test_boundary_values_zero(self, levels):
-        u = fem.solve_state(levels, 2, 1.0, rhs)
+        u = solve_state(levels, 2, 1.0, rhs)
         assert np.all(u.nodal_values[levels[2].boundary_mask] == 0.0)
 
     def test_energy_estimate(self, levels):
@@ -146,48 +159,79 @@ class TestStateSolve:
         fld = sample_field(emb, MeanField(0.0),
                            np.random.default_rng(5).standard_normal(emb.s))
         ell = 2
-        ops = OperatorSet(levels, ell, fld)
-        u = fem.solve_state(levels, ell, fld, rhs, ops=ops)
+        u = solve_state(levels, ell, fld, rhs)
         a_min = fld.values.min()
         lap = fem.assemble_stiffness(levels[ell], 1.0)
         grad_sq = u.nodal_values @ (lap @ u.nodal_values)
         work = fem.assemble_load(levels[ell], rhs) @ u.nodal_values
         assert a_min * grad_sq <= work * (1 + 1e-12)
 
-    def test_solver_diverged(self, levels):
-        # level 4 is above DIRECT_MAX_UNKNOWNS, so this is MG-PCG
-        ops = OperatorSet(levels, 4, 1.0)
-        ops.maxiter = 1
-        with pytest.raises(SolverDiverged):
-            fem.solve_state(levels, 4, 1.0, rhs, ops=ops)
-
     def test_solver_diverged_direct(self, levels):
-        # level 2 is factorized; no residual can meet rtol = 0
-        ops = OperatorSet(levels, 2, 1.0, rtol=0.0)
+        # no residual can meet rtol = 0
         with pytest.raises(SolverDiverged):
-            fem.solve_state(levels, 2, 1.0, rhs, ops=ops)
+            solve_state(levels, 2, 1.0, rhs, rtol=0.0)
 
-    def test_direct_matches_multigrid(self, levels):
-        emb = build_embedding(MaternParams(0.1, 1.0, 0.5),
-                              UniformGrid(dim=2, points_per_axis=9))
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_diverges(self, levels, bad):
+        # one bad triangle must raise SolverDiverged, whether the factor
+        # breaks down or only the residual check sees the damage
+        ell = 2
+        a_elem = np.ones(levels[ell].num_triangles)
+        a_elem[levels[ell].num_triangles // 3] = bad
+        with pytest.raises(SolverDiverged):
+            solve_state(levels, ell, a_elem, rhs)
+
+    def test_indefinite_operator_fails_to_factor(self, levels):
+        # a negative coefficient makes A_int negative definite: dpbtrf
+        # reports a non-positive pivot
+        with pytest.raises(SolverDiverged, match="not positive definite"):
+            OperatorSet(levels, 2, -1.0)
+
+    @pytest.mark.parametrize("ell", range(6))
+    def test_matches_sparse_direct_solve(self, levels, ell):
+        # reference: scipy's sparse LU on the same interior block, for a
+        # lognormal coefficient with unit log-variance
+        rtol = 1e-10
+        emb = build_embedding(MaternParams(1.0, 0.1, 0.5),
+                              UniformGrid(dim=2, points_per_axis=17))
         fld = sample_field(emb, MeanField(0.0),
-                           np.random.default_rng(6).standard_normal(emb.s))
-        ell, rtol = 3, 1e-10
+                           np.random.default_rng(6 + ell).standard_normal(emb.s))
+        lev = levels[ell]
         ops = OperatorSet(levels, ell, fld, rtol=rtol)
-        assert ops.A_int.shape[0] <= fem.DIRECT_MAX_UNKNOWNS
-        b = fem.assemble_load(levels[ell], rhs)
-        x_direct = ops.solve(b).nodal_values[levels[ell].interior]
-        mg = fem._MgHierarchy(levels, ell, ops.A_int)
-        x_mg = fem._pcg(ops.A_int, b[levels[ell].interior], mg.apply, rtol,
-                        ops.maxiter)
-        assert np.linalg.norm(x_direct - x_mg) <= rtol * np.linalg.norm(x_mg)
+        b = fem.assemble_load(lev, rhs)
+        x = ops.solve(b).nodal_values[lev.interior]
+        A = fem.assemble_stiffness(lev, fld)
+        x_ref = spla.spsolve(A[lev.interior][:, lev.interior].tocsc(), b[lev.interior])
+        assert np.linalg.norm(x - x_ref) <= rtol * np.linalg.norm(x_ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ell=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       log_spread=st.floats(0.0, 3.0))
+def test_band_scatter_matches_dense_lower_band(levels, ell, seed, log_spread):
+    lev = levels[ell]
+    rng = np.random.default_rng(seed)
+    a_elem = np.exp(log_spread * rng.standard_normal(lev.num_triangles))
+    A = fem.assemble_stiffness(lev, a_elem)
+    ab = fem._lower_band(lev, A)
+    assert ab.flags.f_contiguous
+    dense = A[lev.interior][:, lev.interior].toarray()
+    n, kd = dense.shape[0], ab.shape[0] - 1
+    assert kd == lev.nodes_per_axis - 1  # m + 1 for m interior nodes per axis
+    ref = np.zeros_like(ab)
+    for d in range(kd + 1):
+        ref[d, :n - d] = np.diagonal(dense, -d)
+    assert np.array_equal(ab, ref)
+    # nothing of the lower triangle lies outside the band
+    assert np.array_equal(np.tril(dense, -kd - 1), np.zeros_like(dense))
 
 
 class TestAdjointSolve:
     def test_state_matching_target_gives_zero(self, levels):
         # u == g at the quadrature points -> zero load -> q == 0
         u = FeFunction(1, np.full(levels[1].num_nodes, 0.75))
-        q = fem.solve_adjoint(levels, 1, 1.0, u,
+        q = solve_adjoint(levels, 1, 1.0, u,
                               lambda x: np.full(x.shape[0], 0.75))
         assert np.all(q.nodal_values == 0.0)
 
@@ -196,7 +240,7 @@ class TestAdjointSolve:
         errs = []
         for ell in range(4):
             u0 = FeFunction(ell, np.zeros(levels[ell].num_nodes))
-            q = fem.solve_adjoint(levels, ell, 1.0, u0, lambda x: -rhs(x))
+            q = solve_adjoint(levels, ell, 1.0, u0, lambda x: -rhs(x))
             diff = FeFunction(ell, q.nodal_values - u_exact(levels[ell].nodes))
             errs.append(fem.l2_norm(levels[ell], diff))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
