@@ -8,7 +8,11 @@ Subcommands:
   sample sweep, with fitted decay slopes.
 - ``cost-curve``: all four estimators on a shared hierarchy, one row per
   (method, tolerance), with fitted cost exponents.
-- ``dump-gradient``: gradient field only, at the smallest tolerance.
+- ``dump-gradient``: another name for ``run``.  Continuing the
+  allocation over the sweep reaches the state a fresh run at the
+  smallest tolerance reaches, so the sweep costs nothing extra.
+
+Every estimator runs through ``estimators.estimator_sweep``.
 
 Configs are JSON (key/value with nesting).  Every artifact is written
 atomically (temp file + rename); re-running a config with the same seed
@@ -48,7 +52,6 @@ __all__ = [
     "run_experiment",
     "variance_study",
     "cost_curve",
-    "dump_gradient",
     "main",
 ]
 
@@ -373,6 +376,18 @@ def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, manifest: dict,
 # -- drivers --------------------------------------------------------------------
 
 
+def _sweep_rows(sweep: estimators.SweepResult) -> list:
+    """Manifest form of the states at which each tolerance was met."""
+    return [{"eps": p.eps, "rmse": p.rmse, "cost_model_normalized": p.cost,
+             "N": p.N, "V": p.V} for p in sweep.points]
+
+
+def _allocation(sweep: estimators.SweepResult) -> list:
+    """Final (level, R, N) rows, as ``estimators.cost_ledger`` takes them."""
+    return [(lev["level"], lev["R"], lev["N"])
+            for lev in sweep.gradient.manifest["levels"]]
+
+
 def run_experiment(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     """Run the configured estimator over its tolerance sweep."""
     outdir = Path(outdir or cfg["output"])
@@ -382,18 +397,13 @@ def run_experiment(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
     manifest = _base_manifest(cfg)
     manifest["method"] = ecfg["method"]
     manifest["warmup_cost"] = sweep.warmup_cost
-    manifest["sweep"] = [
-        {"eps": p.eps, "rmse": p.rmse, "cost_model_normalized": p.cost,
-         "N": p.N, "V": p.V} for p in sweep.points
-    ]
+    manifest["sweep"] = _sweep_rows(sweep)
     manifest["final"] = sweep.gradient.manifest
     paths = {}
     _write_gradient(outdir, hier, sweep.gradient)
     paths["gradient_txt"] = outdir / "gradient.txt"
     paths["gradient_csv"] = outdir / "gradient.csv"
-    allocation = [(lev["level"], lev["R"], lev["N"])
-                  for lev in sweep.gradient.manifest["levels"]]
-    return _finish(outdir, cfg, hier, manifest, paths, allocation)
+    return _finish(outdir, cfg, hier, manifest, paths, _allocation(sweep))
 
 
 def _loglog_slope_or_reason(x: list, y: list, name: str):
@@ -465,9 +475,7 @@ def cost_curve(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     for method in estimators.METHODS:
         sweep = estimator_sweep(hier, method, ecfg["eps"], ecfg["cost_cap"])
         sweeps[method] = sweep
-        ledger = estimators.cost_ledger(
-            hier, [(lev["level"], lev["R"], lev["N"])
-                   for lev in sweep.gradient.manifest["levels"]])
+        ledger = estimators.cost_ledger(hier, _allocation(sweep))
         measured = ledger.get("cost_measured_normalized", float("nan"))
         for p in sweep.points:
             rows.append((method, p.eps, p.rmse, p.cost, measured))
@@ -477,11 +485,7 @@ def cost_curve(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     manifest = _base_manifest(cfg)
     manifest["study"] = "cost_curve"
     manifest["exponents"] = {row[0]: row[1] for row in exp_rows}
-    manifest["sweeps"] = {
-        m: [{"eps": p.eps, "rmse": p.rmse, "cost_model_normalized": p.cost,
-             "N": p.N, "V": p.V} for p in sweeps[m].points]
-        for m in sweeps
-    }
+    manifest["sweeps"] = {m: _sweep_rows(sweep) for m, sweep in sweeps.items()}
     paths = {}
     _write_csv(outdir / "cost_curve.csv",
                ["method", "eps", "rmse", "cost_model_normalized",
@@ -493,24 +497,6 @@ def cost_curve(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     return _finish(outdir, cfg, hier, manifest, paths)
 
 
-def dump_gradient(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
-    """Gradient field at the smallest configured tolerance."""
-    outdir = Path(outdir or cfg["output"])
-    hier = build_hierarchy_from_config(cfg)
-    ecfg = cfg["estimator"]
-    sweep = estimator_sweep(hier, ecfg["method"], [min(ecfg["eps"])],
-                            ecfg["cost_cap"])
-    manifest = _base_manifest(cfg)
-    manifest["final"] = sweep.gradient.manifest
-    paths = {}
-    _write_gradient(outdir, hier, sweep.gradient)
-    paths["gradient_txt"] = outdir / "gradient.txt"
-    paths["gradient_csv"] = outdir / "gradient.csv"
-    allocation = [(lev["level"], lev["R"], lev["N"])
-                  for lev in sweep.gradient.manifest["levels"]]
-    return _finish(outdir, cfg, hier, manifest, paths, allocation)
-
-
 # -- entry point ----------------------------------------------------------------
 
 
@@ -518,7 +504,7 @@ _COMMANDS = {
     "run": run_experiment,
     "variance-study": variance_study,
     "cost-curve": cost_curve,
-    "dump-gradient": dump_gradient,
+    "dump-gradient": run_experiment,
 }
 
 

@@ -4,7 +4,9 @@ Implements the four estimators (MC, QMC, MLMC, MLQMC) for the mean
 adjoint field, sharing one field/FE stack so that only the quadrature
 points differ.  A multilevel estimator telescopes corrections
 q_l - q_{l-1}, each computed from the same field realization sampled at
-level l and restricted to the coarser grid.
+level l and restricted to the coarser grid.  ``estimator_sweep(hier,
+method, eps_list)`` runs any of them; its ``.gradient`` is the estimate
+at the smallest tolerance.
 
 Sample allocation follows the greedy rule: while the summed variance
 contributions exceed eps^2, double N at the level with the largest
@@ -34,7 +36,8 @@ from .fem import FeFunction, FeLevel, OperatorSet, TargetAndControl
 
 __all__ = [
     "LevelHierarchy",
-    "LevelEstimate",
+    "QmcLevelAccumulator",
+    "McLevelAccumulator",
     "GradientEstimate",
     "SweepPoint",
     "SweepResult",
@@ -42,13 +45,7 @@ __all__ = [
     "InsufficientShifts",
     "adjoint_solution",
     "coupled_sample",
-    "qmc_level_estimate",
-    "mc_level_estimate",
     "allocate_samples",
-    "mlqmc_gradient",
-    "mlmc_gradient",
-    "qmc_single_level",
-    "mc_single_level",
     "estimator_sweep",
     "cost_ledger",
     "fit_loglog_slope",
@@ -133,16 +130,6 @@ class LevelHierarchy:
         self.timing: Dict[int, _LevelTiming] = {
             ell: _LevelTiming() for ell in range(L + 1)}
 
-    # -- per-sample machinery ------------------------------------------------
-
-    def shifts_for(self, level: int, R: int) -> np.ndarray:
-        """First R shifts of the level's shift stream, shape (R, s_level)."""
-        return qmc.make_shift_set(self.master_seed, level, R,
-                                  self.embeddings[level].s).shifts
-
-    def s_dim(self, level: int) -> int:
-        return self.embeddings[level].s
-
     def record_timing(self, level: int, ce: float, fe: float):
         t = self.timing[level]
         t.samples += 1
@@ -197,29 +184,24 @@ def coupled_sample(hier: LevelHierarchy, ell: int, y: np.ndarray,
 # -- level accumulators --------------------------------------------------------
 
 
-class QmcLevelAccumulator:
-    """Running per-shift sums of the level correction for one lattice rule.
+class _LevelAccumulator:
+    """What the allocation reads from one level: N, V, the per-sample
+    model cost C and the total cost R * N * C.
 
-    ``refine()`` doubles N (first call: warm-up), reusing all previously
-    evaluated points of the embedded sequence.  Accumulation runs in
-    ascending sample index per shift (deterministic reduction).
+    ``refine()`` doubles N; its first call takes N to ``warmup``.  With
+    ``coupled`` a level above 0 samples the correction q_l - q_{l-1},
+    whose model cost covers both solves.
     """
 
-    def __init__(self, hier: LevelHierarchy, level: int, R: Optional[int] = None,
-                 coupled: bool = True):
-        R = hier.R if R is None else R
-        if R < 2:
-            raise InsufficientShifts(f"need R >= 2 shifts, got {R}")
+    R = 1
+
+    def __init__(self, hier: LevelHierarchy, level: int, coupled: bool,
+                 warmup: int):
         self.hier = hier
         self.level = level
-        self.R = R
         self.coupled = coupled
         self.N = 0
-        self.warmup = hier.warmup_qmc
-        self.shifts = hier.shifts_for(level, R)
-        self.gv = hier.vectors[level]
-        M = hier.fe_levels[level].num_nodes
-        self.sums = np.zeros((R, M))
+        self.warmup = warmup
 
     @property
     def C(self) -> float:
@@ -231,6 +213,29 @@ class QmcLevelAccumulator:
     @property
     def cost(self) -> float:
         return self.R * self.N * self.C
+
+
+class QmcLevelAccumulator(_LevelAccumulator):
+    """Running per-shift sums of the level correction for one lattice rule.
+
+    Refinement reuses all previously evaluated points of the embedded
+    sequence.  Accumulation runs in ascending sample index per shift
+    (deterministic reduction), so any sequence of refinements that ends
+    at the same N gives the same sums bitwise.
+    """
+
+    def __init__(self, hier: LevelHierarchy, level: int, R: Optional[int] = None,
+                 coupled: bool = True):
+        R = hier.R if R is None else R
+        if R < 2:
+            raise InsufficientShifts(f"need R >= 2 shifts, got {R}")
+        super().__init__(hier, level, coupled, hier.warmup_qmc)
+        self.R = R
+        self.shifts = qmc.make_shift_set(hier.master_seed, level, R,
+                                         hier.embeddings[level].s)
+        self.gv = hier.vectors[level]
+        M = hier.fe_levels[level].num_nodes
+        self.sums = np.zeros((R, M))
 
     def _evaluate(self, r: int, k: int) -> np.ndarray:
         xi = qmc.sequence_point(self.gv, k, self.shifts[r])
@@ -260,7 +265,7 @@ class QmcLevelAccumulator:
         return FeFunction(self.level, self.per_shift_means().mean(axis=0))
 
 
-class McLevelAccumulator:
+class McLevelAccumulator(_LevelAccumulator):
     """Plain Monte Carlo version: i.i.d. normals, across-sample variance.
 
     The nodal sums are kept relative to the first sample to avoid
@@ -271,32 +276,16 @@ class McLevelAccumulator:
 
     def __init__(self, hier: LevelHierarchy, level: int, stream: str = "mc",
                  coupled: bool = True):
-        self.hier = hier
-        self.level = level
-        self.R = 1
-        self.coupled = coupled
+        super().__init__(hier, level, coupled, hier.warmup_mc)
         self.stream = stream
-        self.N = 0
-        self.warmup = hier.warmup_mc
         M = hier.fe_levels[level].num_nodes
         self._ref: Optional[np.ndarray] = None
         self.sum_dev = np.zeros(M)
         self.sum_dev2 = np.zeros(M)
 
-    @property
-    def C(self) -> float:
-        c = self.hier.cost_model[self.level]
-        if self.coupled and self.level > 0:
-            c = c + self.hier.cost_model[self.level - 1]
-        return float(c)
-
-    @property
-    def cost(self) -> float:
-        return self.N * self.C
-
     def _evaluate(self, r: int, k: int) -> np.ndarray:
         rng = qmc.shift_rng(self.hier.master_seed, self.stream, self.level, k)
-        y = rng.standard_normal(self.hier.s_dim(self.level))
+        y = rng.standard_normal(self.hier.embeddings[self.level].s)
         return coupled_sample(self.hier, self.level, y, self.coupled).nodal_values
 
     def refine(self):
@@ -319,52 +308,8 @@ class McLevelAccumulator:
         lev = self.hier.fe_levels[self.level]
         return fem.integrate(lev, nodal_var) / self.N
 
-    def per_shift_means(self) -> np.ndarray:
-        return self.mean().nodal_values[None, :]
-
     def mean(self) -> FeFunction:
         return FeFunction(self.level, self._ref + self.sum_dev / self.N)
-
-
-# -- spec-level wrappers -------------------------------------------------------
-
-
-@dataclass
-class LevelEstimate:
-    """Snapshot of one level's estimator state."""
-
-    ell: int
-    N_ell: int
-    R_ell: int
-    per_shift_means: np.ndarray   # (R, M) nodal values
-    V_ell: float
-    cost_ell: float               # model units, finest-sample-normalized
-
-
-def qmc_level_estimate(hier: LevelHierarchy, ell: int, N_ell: int,
-                       R_ell: Optional[int] = None) -> LevelEstimate:
-    """Randomly shifted lattice estimate of the level-``ell`` correction.
-
-    ``N_ell`` must be a power of two (the embedded sequence refines the
-    rule dyadically).
-    """
-    if N_ell < 1 or (N_ell & (N_ell - 1)) != 0:
-        raise ValueError(f"N_ell must be a power of two, got {N_ell}")
-    acc = QmcLevelAccumulator(hier, ell, R=R_ell)
-    acc.warmup = 1
-    while acc.N < N_ell:
-        acc.refine()
-    return LevelEstimate(ell, acc.N, acc.R, acc.per_shift_means(), acc.V, acc.cost)
-
-
-def mc_level_estimate(hier: LevelHierarchy, ell: int, N_ell: int) -> LevelEstimate:
-    """Monte Carlo estimate of the level-``ell`` correction."""
-    if N_ell < 2:
-        raise ValueError("variance estimation needs N_ell >= 2")
-    acc = McLevelAccumulator(hier, ell, stream="mlmc")
-    acc.warmup = N_ell
-    acc.refine()
-    return LevelEstimate(ell, acc.N, 1, acc.per_shift_means(), acc.V, acc.cost)
 
 
 def allocate_samples(accs: Sequence, eps: float,
@@ -393,14 +338,7 @@ def allocate_samples(accs: Sequence, eps: float,
         scores = [acc.V / (acc.N * acc.C) for acc in accs]
         accs[int(np.argmax(scores))].refine()
         if trace is not None:
-            Vs = [acc.V for acc in accs]
-            trace.append(SweepPoint(
-                eps=eps,
-                rmse=float(np.sqrt(sum(Vs))),
-                cost=float(sum(acc.cost for acc in accs)),
-                N=[acc.N for acc in accs],
-                V=[float(v) for v in Vs],
-            ))
+            trace.append(_state(accs, eps))
 
 
 @dataclass
@@ -425,6 +363,17 @@ class SweepPoint:
     V: List[float]
 
 
+def _state(accs: Sequence, eps: float) -> SweepPoint:
+    Vs = [acc.V for acc in accs]
+    return SweepPoint(
+        eps=eps,
+        rmse=float(np.sqrt(sum(Vs))),
+        cost=float(sum(acc.cost for acc in accs)),
+        N=[acc.N for acc in accs],
+        V=[float(v) for v in Vs],
+    )
+
+
 def _gradient_from_accs(hier: LevelHierarchy, accs: Sequence, method: str,
                         eps: float) -> GradientEstimate:
     L = hier.L if len(accs) > 1 else accs[0].level
@@ -434,32 +383,30 @@ def _gradient_from_accs(hier: LevelHierarchy, accs: Sequence, method: str,
     mean_q = FeFunction(L, mean_nodal)
     z_nodal = hier.objective.z(hier.fe_levels[L].nodes)
     gradient = FeFunction(L, mean_nodal + hier.objective.alpha * z_nodal)
-    Vs = [acc.V for acc in accs]
-    rmse = float(np.sqrt(sum(Vs)))
-    cost = float(sum(acc.cost for acc in accs))
+    state = _state(accs, eps)
     manifest = {
         "method": method,
         "eps": eps,
         "seed": hier.master_seed,
         "R": hier.R,
         "kappa": hier.kappa,
-        "rmse_quadrature": rmse,
-        "cost_model_normalized": cost,
+        "rmse_quadrature": state.rmse,
+        "cost_model_normalized": state.cost,
         "levels": [
             {
                 "level": acc.level,
                 "N": acc.N,
                 "R": acc.R,
-                "V": acc.V,
+                "V": V,
                 "C_model": acc.C,
-                "s": hier.s_dim(acc.level),
+                "s": hier.embeddings[acc.level].s,
                 "M": hier.fe_levels[acc.level].num_nodes,
                 "low_confidence": acc.N < 8,
             }
-            for acc in accs
+            for acc, V in zip(accs, state.V)
         ],
     }
-    return GradientEstimate(mean_q, gradient, rmse, cost, manifest)
+    return GradientEstimate(mean_q, gradient, state.rmse, state.cost, manifest)
 
 
 def _make_accs(hier: LevelHierarchy, method: str) -> List:
@@ -473,37 +420,6 @@ def _make_accs(hier: LevelHierarchy, method: str) -> List:
     if method == "mc":
         return [McLevelAccumulator(hier, hier.L, stream="mc", coupled=False)]
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def _run_method(hier: LevelHierarchy, method: str, eps: float,
-                cost_cap: Optional[float] = None) -> GradientEstimate:
-    accs = _make_accs(hier, method)
-    allocate_samples(accs, eps, cost_cap)
-    return _gradient_from_accs(hier, accs, method, eps)
-
-
-def mlqmc_gradient(hier: LevelHierarchy, eps: float,
-                   cost_cap: Optional[float] = None) -> GradientEstimate:
-    """Multilevel QMC gradient estimate to quadrature tolerance ``eps``."""
-    return _run_method(hier, "mlqmc", eps, cost_cap)
-
-
-def mlmc_gradient(hier: LevelHierarchy, eps: float,
-                  cost_cap: Optional[float] = None) -> GradientEstimate:
-    """Multilevel Monte Carlo gradient estimate."""
-    return _run_method(hier, "mlmc", eps, cost_cap)
-
-
-def qmc_single_level(hier: LevelHierarchy, eps: float,
-                     cost_cap: Optional[float] = None) -> GradientEstimate:
-    """Single-level randomly shifted lattice estimate at the finest level."""
-    return _run_method(hier, "qmc", eps, cost_cap)
-
-
-def mc_single_level(hier: LevelHierarchy, eps: float,
-                    cost_cap: Optional[float] = None) -> GradientEstimate:
-    """Single-level Monte Carlo estimate at the finest level."""
-    return _run_method(hier, "mc", eps, cost_cap)
 
 
 @dataclass
@@ -525,16 +441,17 @@ class SweepResult:
 
     @property
     def fit_states(self) -> List[SweepPoint]:
-        return cost_fit_states(self.trajectory, self.warmup_cost, self.warmup_N)
+        return cost_fit_states(self.trajectory, self.warmup_N)
 
     @property
     def exponent(self) -> float:
-        return fit_cost_exponent(self.trajectory, self.warmup_cost, self.warmup_N)
+        return fit_cost_exponent(self.trajectory, self.warmup_N)
 
 
 def estimator_sweep(hier: LevelHierarchy, method: str, eps_list: Sequence[float],
                     cost_cap: Optional[float] = None) -> SweepResult:
-    """Run one estimator over a descending tolerance sweep.
+    """Run one estimator (one of ``METHODS``) over a descending tolerance
+    sweep; ``cost_cap`` bounds the model cost (``BudgetExceeded``).
 
     Sample streams are keyed by (level, shift, index), so continuing the
     allocation from the previous tolerance reproduces exactly the state a
@@ -550,14 +467,7 @@ def estimator_sweep(hier: LevelHierarchy, method: str, eps_list: Sequence[float]
     trajectory: List[SweepPoint] = []
     for eps in eps_sorted:
         allocate_samples(accs, eps, cost_cap, trace=trajectory)
-        Vs = [acc.V for acc in accs]
-        points.append(SweepPoint(
-            eps=eps,
-            rmse=float(np.sqrt(sum(Vs))),
-            cost=float(sum(acc.cost for acc in accs)),
-            N=[acc.N for acc in accs],
-            V=[float(v) for v in Vs],
-        ))
+        points.append(_state(accs, eps))
     grad = _gradient_from_accs(hier, accs, method, eps_sorted[-1])
     return SweepResult(method, points, trajectory, warmup_cost, warmup_N, grad)
 
@@ -571,7 +481,10 @@ def cost_ledger(hier: LevelHierarchy,
 
     ``allocation`` rows are (level, R, N).  The normalized measured cost
     divides by the median cost of one finest-level sample; the model
-    cost uses h_l^-kappa the same way.
+    cost uses h_l^-kappa the same way.  ``kappa_measured`` is the
+    measured counterpart of the model's kappa: minus the log-log slope
+    of the median sample time against h, positive when cost grows as
+    the mesh refines.
     """
     rows = []
     for ell in range(hier.L + 1):
@@ -597,7 +510,7 @@ def cost_ledger(hier: LevelHierarchy,
     med = np.array([medians[ell] for ell in range(hier.L + 1)])
     valid = np.isfinite(med)
     if valid.sum() >= 2:
-        out["kappa_measured"] = fit_loglog_slope(hs[valid], med[valid])
+        out["kappa_measured"] = -fit_loglog_slope(hs[valid], med[valid])
     return out
 
 
@@ -608,8 +521,8 @@ def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.linalg.lstsq(A, ly, rcond=None)[0][0])
 
 
-def cost_fit_states(points: Sequence[SweepPoint], warmup_cost: float,
-                    warmup_N: Sequence[int] = ()) -> List[SweepPoint]:
+def cost_fit_states(points: Sequence[SweepPoint],
+                    warmup_N: Sequence[int]) -> List[SweepPoint]:
     """States of a sweep that the cost-exponent fit uses.
 
     A state qualifies once the allocation, not the warm-up, sets every
@@ -618,19 +531,11 @@ def cost_fit_states(points: Sequence[SweepPoint], warmup_cost: float,
     fixed warm-up share plus a growing part, and the log-log slope of
     that sum is not the asymptotic cost rate (Giles, Acta Numerica
     2015).  Duplicate states are collapsed.
-
-    The empty default of ``warmup_N`` serves callers that know only the
-    total warm-up cost: a state then qualifies when its cost exceeds
-    ``warmup_cost`` by more than 0.1 %, a weaker rule that keeps states
-    in which some level still sits at warm-up.
     """
     seen = set()
     states = []
     for p in points:
-        if len(warmup_N):
-            moved = all(n > w for n, w in zip(p.N, warmup_N))
-        else:
-            moved = p.cost > warmup_cost * 1.001
+        moved = all(n > w for n, w in zip(p.N, warmup_N))
         key = (round(p.cost, 12), round(p.rmse, 15))
         if moved and key not in seen:
             seen.add(key)
@@ -638,8 +543,8 @@ def cost_fit_states(points: Sequence[SweepPoint], warmup_cost: float,
     return states
 
 
-def fit_cost_exponent(points: Sequence[SweepPoint], warmup_cost: float,
-                      warmup_N: Sequence[int] = ()) -> float:
+def fit_cost_exponent(points: Sequence[SweepPoint],
+                      warmup_N: Sequence[int]) -> float:
     """Cost exponent p with cost ~ rmse^-p from a tolerance sweep.
 
     Fits log cost against log(1/achieved rmse) over the states selected
@@ -648,7 +553,7 @@ def fit_cost_exponent(points: Sequence[SweepPoint], warmup_cost: float,
     allocation puts into the cost/tolerance relation.  Returns NaN when
     fewer than two such states exist.
     """
-    states = cost_fit_states(points, warmup_cost, warmup_N)
+    states = cost_fit_states(points, warmup_N)
     if len(states) < 2:
         return float("nan")
     return fit_loglog_slope([1.0 / p.rmse for p in states], [p.cost for p in states])

@@ -23,7 +23,6 @@ from scipy.special import erfc, ndtri
 
 __all__ = [
     "GeneratingVector",
-    "ShiftSet",
     "lattice_point",
     "sequence_point",
     "radical_inverse",
@@ -70,17 +69,6 @@ class GeneratingVector:
         return self.entries.size
 
 
-@dataclass(frozen=True)
-class ShiftSet:
-    """R independent uniform shifts in [0,1)^s for one level."""
-
-    shifts: np.ndarray  # (R, s)
-
-    @property
-    def R(self) -> int:
-        return self.shifts.shape[0]
-
-
 def shift_rng(master_seed: int, stream: str, *keys: int) -> np.random.Generator:
     """Counter-style keyed generator: same key, same stream, any order."""
     tokens = [int(master_seed) & 0xFFFFFFFF, zlib.crc32(stream.encode())]
@@ -88,12 +76,13 @@ def shift_rng(master_seed: int, stream: str, *keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(tokens)))
 
 
-def make_shift_set(master_seed: int, level: int, R: int, s: int) -> ShiftSet:
-    """Shifts keyed by (seed, level, shift index): independent across levels."""
+def make_shift_set(master_seed: int, level: int, R: int, s: int) -> np.ndarray:
+    """R uniform shifts in [0,1)^s, shape (R, s), keyed by (seed, level,
+    shift index): independent across levels, prefix-stable in R."""
     shifts = np.empty((R, s))
     for r in range(R):
         shifts[r] = shift_rng(master_seed, "shift", level, r).random(s)
-    return ShiftSet(shifts=shifts)
+    return shifts
 
 
 def lattice_point(gv: GeneratingVector, N: int, i: int,

@@ -392,7 +392,7 @@ def test_criterion_11_telescoping_consistency():
     hier = make_hierarchy(L=2, seed=SEED)
     # pathwise telescoping with frozen randomness on a 2-level toy
     rng = np.random.default_rng(SEED + 3)
-    y = rng.standard_normal(hier.s_dim(1))
+    y = rng.standard_normal(hier.embeddings[1].s)
     fld = sample_field(hier.embeddings[1], hier.mean, y, level=1)
     q1 = est.adjoint_solution(hier, 1, fld)
     q0 = est.adjoint_solution(hier, 0, restrict_to_coarse(fld, hier.ce_grids[0]))
@@ -402,8 +402,8 @@ def test_criterion_11_telescoping_consistency():
                           fem.FeFunction(1, total - q1.nodal_values))
 
     # MLQMC against a high-budget single-level run at the same finest level
-    ml = est.mlqmc_gradient(hier, 2e-4)
-    sl = est.qmc_single_level(hier, 1e-4)
+    ml = est.estimator_sweep(hier, "mlqmc", [2e-4]).gradient
+    sl = est.estimator_sweep(hier, "qmc", [1e-4]).gradient
     dist = fem.l2_norm(hier.fe_levels[2], fem.FeFunction(
         2, ml.mean_q.nodal_values - sl.mean_q.nodal_values))
     combined = float(np.hypot(ml.rmse_quadrature, sl.rmse_quadrature))

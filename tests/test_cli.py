@@ -325,6 +325,18 @@ class TestMainEntry:
         timing = json.loads((out / "timing.json").read_text())
         assert timing["openblas_num_threads"] == mlqmcgrad.OPENBLAS_NUM_THREADS
 
+    def test_dump_gradient_is_run(self, tmp_path):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(TINY))
+        outs = {}
+        for command in ("dump-gradient", "run"):
+            outs[command] = tmp_path / command
+            assert main([command, "--config", str(cfgp),
+                         "--out", str(outs[command]), "--seed", "5"]) == 0
+        for name in ("gradient.txt", "gradient.csv", "manifest.json"):
+            assert (outs["dump-gradient"] / name).read_bytes() == \
+                (outs["run"] / name).read_bytes()
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(TINY))

@@ -15,15 +15,25 @@ from mlqmcgrad.estimators import (
     coupled_sample,
     fit_cost_exponent,
     fit_loglog_slope,
-    mc_level_estimate,
-    qmc_level_estimate,
 )
 from mlqmcgrad.fem import TargetAndControl
 
 
+def qmc_level(hier, ell, N, R):
+    """Level-``ell`` QMC accumulator holding N points on each of R shifts."""
+    acc = QmcLevelAccumulator(hier, ell, R=R)
+    acc.warmup = N
+    acc.refine()
+    return acc
+
+
+def gradient(hier, method, eps):
+    return est.estimator_sweep(hier, method, [eps]).gradient
+
+
 class TestHierarchy:
     def test_nested_dimensions(self, hier2):
-        s = [hier2.s_dim(ell) for ell in range(3)]
+        s = [hier2.embeddings[ell].s for ell in range(3)]
         assert s == sorted(s)
         assert all(len(hier2.vectors[ell]) >= s[ell] for ell in range(3))
         h = [lev.h for lev in hier2.fe_levels]
@@ -39,7 +49,7 @@ class TestHierarchy:
 
 class TestCoupledSample:
     def test_level0_is_plain_adjoint(self, hier2):
-        y = np.zeros(hier2.s_dim(0))
+        y = np.zeros(hier2.embeddings[0].s)
         q = coupled_sample(hier2, 0, y)
         fld = sample_field(hier2.embeddings[0], hier2.mean, y)
         q_direct = est.adjoint_solution(hier2, 0, fld)
@@ -49,7 +59,7 @@ class TestCoupledSample:
         hier = make_hierarchy(L=1, objective=TargetAndControl(
             g=zero_fn, z=zero_fn, alpha=1.0))
         for ell in range(2):
-            y = np.random.default_rng(0).standard_normal(hier.s_dim(ell))
+            y = np.random.default_rng(0).standard_normal(hier.embeddings[ell].s)
             q = coupled_sample(hier, ell, y)
             assert np.all(q.nodal_values == 0.0)
 
@@ -59,14 +69,14 @@ class TestCoupledSample:
         hier = make_hierarchy(L=3)
         norms = []
         for ell in range(1, 4):
-            q = coupled_sample(hier, ell, np.zeros(hier.s_dim(ell)))
+            q = coupled_sample(hier, ell, np.zeros(hier.embeddings[ell].s))
             norms.append(fem.l2_norm(hier.fe_levels[ell], q))
         assert norms[1] < norms[0] and norms[2] < norms[1]
 
     def test_pathwise_telescoping(self, hier2):
         # same realization drives every term: the sum collapses to q_L
         rng = np.random.default_rng(5)
-        y = rng.standard_normal(hier2.s_dim(1))
+        y = rng.standard_normal(hier2.embeddings[1].s)
         fld = sample_field(hier2.embeddings[1], hier2.mean, y, level=1)
         q1 = est.adjoint_solution(hier2, 1, fld)
         q0 = est.adjoint_solution(
@@ -81,31 +91,28 @@ class TestLevelEstimates:
     def test_constant_integrand_zero_variance(self):
         hier = make_hierarchy(L=1, objective=TargetAndControl(
             g=zero_fn, z=zero_fn, alpha=1.0))
-        le = qmc_level_estimate(hier, 1, N_ell=2, R_ell=4)
-        assert le.V_ell == 0.0
+        assert qmc_level(hier, 1, N=2, R=4).V == 0.0
 
     def test_insufficient_shifts(self, hier2):
         with pytest.raises(InsufficientShifts):
             QmcLevelAccumulator(hier2, 0, R=1)
-
-    def test_power_of_two_required(self, hier2):
-        with pytest.raises(ValueError):
-            qmc_level_estimate(hier2, 0, N_ell=3)
 
     def test_doubling_shifts_halves_variance(self):
         # ratio of pooled variance estimates over independent replicas
         v_small, v_large = [], []
         for rep in range(40):
             hier = make_hierarchy(L=0, seed=1000 + rep)
-            v_small.append(qmc_level_estimate(hier, 0, 2, R_ell=8).V_ell)
-            v_large.append(qmc_level_estimate(hier, 0, 2, R_ell=16).V_ell)
+            v_small.append(qmc_level(hier, 0, 2, R=8).V)
+            v_large.append(qmc_level(hier, 0, 2, R=16).V)
         ratio = np.mean(v_large) / np.mean(v_small)
         assert 0.4 <= ratio <= 0.6
 
     def test_mc_estimate_variance_of_mean(self, hier2):
-        le = mc_level_estimate(hier2, 0, N_ell=64)
-        assert le.V_ell > 0
-        assert le.N_ell == 64 and le.R_ell == 1
+        acc = McLevelAccumulator(hier2, 0, stream="mlmc")
+        acc.warmup = 64
+        acc.refine()
+        assert acc.V > 0
+        assert acc.N == 64 and acc.R == 1
 
     def test_mc_variance_slope(self):
         # variance of the MC mean scales like 1/N; measure it directly
@@ -194,13 +201,13 @@ class TestAllocation:
 class TestGradientEstimators:
     def test_sum_v_below_eps_sq(self, hier2):
         eps = 8e-4
-        grad = est.mlqmc_gradient(hier2, eps)
+        grad = gradient(hier2, "mlqmc", eps)
         Vs = [lev["V"] for lev in grad.manifest["levels"]]
         assert sum(Vs) <= eps**2
         assert grad.rmse_quadrature <= eps
 
     def test_gradient_is_mean_plus_alpha_z(self, hier2):
-        grad = est.mlqmc_gradient(hier2, 1e-3)
+        grad = gradient(hier2, "mlqmc", 1e-3)
         z_nodal = hier2.objective.z(hier2.fe_levels[hier2.L].nodes)
         expected = grad.mean_q.nodal_values + hier2.objective.alpha * z_nodal
         assert np.array_equal(grad.gradient.nodal_values, expected)
@@ -208,36 +215,36 @@ class TestGradientEstimators:
     def test_single_level_reduction_at_L0(self):
         # a one-level hierarchy makes MLQMC collapse to plain QMC
         hier = make_hierarchy(L=0, seed=5)
-        ml = est.mlqmc_gradient(hier, 1e-3)
-        sl = est.qmc_single_level(hier, 1e-3)
+        ml = gradient(hier, "mlqmc", 1e-3)
+        sl = gradient(hier, "qmc", 1e-3)
         assert np.array_equal(ml.mean_q.nodal_values, sl.mean_q.nodal_values)
 
     def test_zero_objective_gradient_zero(self):
         hier = make_hierarchy(L=1, objective=TargetAndControl(
             g=zero_fn, z=zero_fn, alpha=3.0))
-        grad = est.mlqmc_gradient(hier, 1e-3)
+        grad = gradient(hier, "mlqmc", 1e-3)
         assert np.all(grad.gradient.nodal_values == 0.0)
 
     def test_determinism(self):
         runs = []
         for _ in range(2):
             hier = make_hierarchy(L=1, seed=42)
-            grad = est.mlqmc_gradient(hier, 5e-4)
+            grad = gradient(hier, "mlqmc", 5e-4)
             runs.append(grad)
         assert runs[0].manifest == runs[1].manifest
         assert np.array_equal(runs[0].gradient.nodal_values,
                               runs[1].gradient.nodal_values)
 
     def test_low_confidence_flags(self, hier2):
-        grad = est.mlqmc_gradient(hier2, 1e-2)
+        grad = gradient(hier2, "mlqmc", 1e-2)
         for lev in grad.manifest["levels"]:
             assert lev["low_confidence"] == (lev["N"] < 8)
 
     def test_mc_and_qmc_agree_in_expectation(self):
         # cross-estimator consistency at matched finest level
         hier = make_hierarchy(L=0, seed=9)
-        q = est.qmc_single_level(hier, 4e-4)
-        m = est.mc_single_level(hier, 4e-4)
+        q = gradient(hier, "qmc", 4e-4)
+        m = gradient(hier, "mc", 4e-4)
         diff = fem.l2_norm(hier.fe_levels[0], fem.FeFunction(
             0, q.mean_q.nodal_values - m.mean_q.nodal_values))
         combined = np.hypot(q.rmse_quadrature, m.rmse_quadrature)
@@ -245,8 +252,8 @@ class TestGradientEstimators:
 
     def test_mlmc_and_mlqmc_share_bias(self):
         hier = make_hierarchy(L=1, seed=10)
-        a = est.mlqmc_gradient(hier, 4e-4)
-        b = est.mlmc_gradient(hier, 4e-4)
+        a = gradient(hier, "mlqmc", 4e-4)
+        b = gradient(hier, "mlmc", 4e-4)
         diff = fem.l2_norm(hier.fe_levels[1], fem.FeFunction(
             1, a.mean_q.nodal_values - b.mean_q.nodal_values))
         combined = np.hypot(a.rmse_quadrature, b.rmse_quadrature)
@@ -265,23 +272,30 @@ class TestSweepAndFits:
         for p in sweep.points:
             assert p.rmse <= p.eps
 
-    def test_continuation_matches_fresh_run(self, hier2):
-        sweep = est.estimator_sweep(hier2, "mlqmc", [3e-3, 8e-4])
-        fresh = est.mlqmc_gradient(make_hierarchy(L=2, seed=321), 8e-4)
+    @pytest.mark.parametrize("method", est.METHODS)
+    def test_continuation_matches_fresh_run(self, hier2, method):
+        # eps = 2e-4 takes every method past warm-up, so the sweep and
+        # the fresh run both double samples
+        sweep = est.estimator_sweep(hier2, method, [3e-3, 2e-4])
+        fresh = gradient(make_hierarchy(L=2, seed=321), method, 2e-4)
         assert sweep.points[-1].N == [lev["N"] for lev in
                                       fresh.manifest["levels"]]
         assert np.array_equal(sweep.gradient.gradient.nodal_values,
                               fresh.gradient.nodal_values)
+        assert sweep.gradient.manifest == fresh.manifest
 
     def test_fit_cost_exponent_on_synthetic_curve(self):
-        pts = [SweepPoint(eps=0, rmse=r, cost=5.0 / r**2, N=[], V=[])
-               for r in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
-        expo = fit_cost_exponent(pts, warmup_cost=5.0 / 1e-2**2 / 10)
+        # one level with C = 1, every state past a warm-up of 2 samples
+        pts = [SweepPoint(eps=0, rmse=r, cost=5.0 / r**2, N=[round(5.0 / r**2)],
+                          V=[]) for r in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
+        expo = fit_cost_exponent(pts, warmup_N=[2])
         assert expo == pytest.approx(2.0, abs=1e-12)
 
     def test_fit_cost_exponent_needs_two_active_points(self):
-        pts = [SweepPoint(eps=0, rmse=1e-3, cost=10.0, N=[], V=[])]
-        assert np.isnan(fit_cost_exponent(pts, warmup_cost=10.0))
+        # the first state sits at warm-up, so only one state is fitted
+        pts = [SweepPoint(eps=0, rmse=1e-3, cost=10.0, N=[10], V=[]),
+               SweepPoint(eps=0, rmse=5e-4, cost=40.0, N=[40], V=[])]
+        assert np.isnan(fit_cost_exponent(pts, warmup_N=[10]))
 
     def test_fit_cost_exponent_waits_for_every_level(self):
         C, warmup_N = np.array([1.0, 4.0]), [2, 2]
@@ -291,11 +305,11 @@ class TestSweepAndFits:
 
         # level 1 stays at warm-up: cost = W + c rmse^-2 with W = 8
         early = [state(r, [1e-3 / r**2, 2]) for r in (1e-2, 5e-3, 2.5e-3)]
-        assert np.isnan(fit_cost_exponent(early, float(C @ warmup_N), warmup_N))
+        assert np.isnan(fit_cost_exponent(early, warmup_N))
         # then every level grows like rmse^-2
         late = [state(r, [1e-3 / r**2, 2e-4 / r**2])
                 for r in (1.25e-3, 6.25e-4, 3.125e-4)]
-        expo = fit_cost_exponent(early + late, float(C @ warmup_N), warmup_N)
+        expo = fit_cost_exponent(early + late, warmup_N)
         assert expo == pytest.approx(2.0, abs=1e-12)
 
     def test_sweep_fits_only_states_past_warmup(self, hier2):
@@ -315,19 +329,19 @@ class TestCostLedger:
     def test_medians_and_normalization(self, hier2):
         # ensure every level has timing samples
         for ell in range(3):
-            qmc_level_estimate(hier2, ell, N_ell=2, R_ell=2)
+            qmc_level(hier2, ell, N=2, R=2)
         ledger = est.cost_ledger(hier2, [(ell, 1, 4) for ell in range(3)])
         meds = [row["total_seconds_median"] for row in ledger["levels"]]
         assert all(np.isfinite(m) for m in meds)
         assert ledger["cost_measured_normalized"] > 0
         assert ledger["cost_model_normalized"] == sum(
             4 * hier2.cost_model[ell] for ell in range(3))
-        assert ledger["kappa_measured"] < 0
+        assert ledger["kappa_measured"] > 0
 
     def test_measured_cost_monotone_in_level(self):
         hier = make_hierarchy(L=2, seed=17)
         for ell in range(3):
-            qmc_level_estimate(hier, ell, N_ell=16, R_ell=2)
+            qmc_level(hier, ell, N=16, R=2)
         ledger = est.cost_ledger(hier)
         meds = [row["total_seconds_median"] for row in ledger["levels"]]
         assert meds[0] <= meds[1] <= meds[2]

@@ -260,14 +260,15 @@ class TestShifts:
         a = make_shift_set(11, level=2, R=4, s=8)
         b = make_shift_set(11, level=2, R=4, s=8)
         c = make_shift_set(11, level=3, R=4, s=8)
-        assert np.array_equal(a.shifts, b.shifts)
-        assert not np.array_equal(a.shifts, c.shifts)
-        assert np.all((a.shifts >= 0) & (a.shifts < 1))
+        assert a.shape == (4, 8)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert np.all((a >= 0) & (a < 1))
 
     def test_prefix_stable_in_R(self):
         small = make_shift_set(11, level=1, R=3, s=8)
         large = make_shift_set(11, level=1, R=6, s=8)
-        assert np.array_equal(large.shifts[:3], small.shifts)
+        assert np.array_equal(large[:3], small)
 
 
 class TestStatisticalProperties:
