@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -32,11 +33,13 @@ __all__ = [
     "UniformGrid",
     "CirculantEmbedding",
     "FieldRealization",
+    "Stencil",
     "PaddingExhausted",
     "NestingViolation",
     "build_embedding",
     "factor_row",
     "sample_field",
+    "interpolation_stencil",
     "eval_field",
     "restrict_to_coarse",
 ]
@@ -282,8 +285,8 @@ def assign_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_field(e: CirculantEmbedding, zbar: MeanField, y: np.ndarray,
-                 level: int = 0) -> FieldRealization:
+def sample_field(e: CirculantEmbedding, zbar: Union[MeanField, np.ndarray],
+                 y: np.ndarray, level: int = 0) -> FieldRealization:
     """Draw the lognormal field for one vector of standard normals.
 
     ``y`` is consumed in importance order (coordinate 0 drives the
@@ -292,6 +295,10 @@ def sample_field(e: CirculantEmbedding, zbar: MeanField, y: np.ndarray,
     inputs, an inverse FFT over each leading frequency axis that keeps
     only the first n outputs (the physical grid), and one real inverse
     FFT over the last axis.  Then adds the mean and exponentiates.
+
+    ``zbar`` is the mean field, or its values at ``e.grid.points()``
+    (C-ordered, any shape with that many entries) already evaluated and
+    checked by ``MeanField.at``, which spares the per-sample evaluation.
     """
     y = _check_inputs(e, y)
     dim, ext = e.grid.dim, e.ext_per_axis
@@ -306,7 +313,9 @@ def sample_field(e: CirculantEmbedding, zbar: MeanField, y: np.ndarray,
     z = np.fft.irfft(z, n=ext, axis=0)[:n]
 
     log_vals = np.ascontiguousarray(z.T)
-    log_vals += zbar.at(e.grid.points()).reshape((n,) * dim)
+    if isinstance(zbar, MeanField):
+        zbar = zbar.at(e.grid.points())
+    log_vals += np.reshape(zbar, (n,) * dim)
     return FieldRealization(level=level, grid=e.grid,
                             log_values=log_vals, values=np.exp(log_vals))
 
@@ -340,35 +349,70 @@ def _check_in_domain(x: np.ndarray, dim: int):
         raise ValueError("point outside the closed unit cube")
 
 
-def eval_field(f: FieldRealization, x: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the field at points in the unit cube.
+@dataclass(frozen=True)
+class Stencil:
+    """Multilinear interpolation stencil of fixed points in a grid.
 
-    ``x`` is a point (shape (d,)) or an array of points (npts, d).  The
-    interpolation is a convex combination of the 2^d surrounding vertex
-    values, exact at grid nodes; values stay inside the nodal range.
+    Per point, ``index[c]`` is the flat (C-order) index of corner c of
+    the point's cell and ``weight[c]`` its weight; corner c takes the
+    upper vertex on axis ax when bit ax of c is set.  Built once by
+    ``interpolation_stencil``, it evaluates every field on ``grid`` at
+    those points without locating them again.
+    """
+
+    grid: UniformGrid
+    index: np.ndarray    # (2^d, npts) flat vertex indices
+    weight: np.ndarray   # (2^d, npts)
+
+
+def interpolation_stencil(grid: UniformGrid, x: np.ndarray) -> Stencil:
+    """Stencil of the points ``x`` ((d,) or (npts, d)) in ``grid``.
+
     Cell choice at interior cell boundaries takes the lower cell index,
-    clamped at the top boundary.
+    clamped at the top boundary.  Raises ValueError for points outside
+    the closed unit cube.
     """
     x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    dim = f.grid.dim
+    dim = grid.dim
     _check_in_domain(x_arr, dim)
-    n = f.grid.points_per_axis
-    h = f.grid.spacing
-    t = np.clip(x_arr, 0.0, 1.0) / h
+    n = grid.points_per_axis
+    t = np.clip(x_arr, 0.0, 1.0) / grid.spacing
     i0 = np.minimum(t.astype(np.int64), n - 2)
     w = t - i0
 
-    vals = f.values
-    out = np.zeros(x_arr.shape[0])
+    npts = x_arr.shape[0]
+    index = np.zeros((2**dim, npts), dtype=np.intp)
+    weight = np.empty((2**dim, npts))
     for corner in range(2**dim):
-        bits = [(corner >> ax) & 1 for ax in range(dim)]
-        weight = np.ones(x_arr.shape[0])
-        idx = []
+        wc = np.ones(npts)
         for ax in range(dim):
-            weight *= w[:, ax] if bits[ax] else (1.0 - w[:, ax])
-            idx.append(i0[:, ax] + bits[ax])
-        out += weight * vals[tuple(idx)]
-    if np.asarray(x).ndim == 1:
+            bit = (corner >> ax) & 1
+            wc *= w[:, ax] if bit else (1.0 - w[:, ax])
+            index[corner] = index[corner] * n + i0[:, ax] + bit
+        weight[corner] = wc
+    return Stencil(grid=grid, index=index, weight=weight)
+
+
+def eval_field(f: FieldRealization, x: Union[np.ndarray, Stencil]) -> np.ndarray:
+    """Multilinear interpolation of the field at points in the unit cube.
+
+    ``x`` is a point (shape (d,)), an array of points (npts, d), or a
+    ``Stencil`` of points built for ``f.grid``.  The interpolation is a
+    convex combination of the 2^d surrounding vertex values, exact at
+    grid nodes; values stay inside the nodal range.  A point returns a
+    float, the other forms an array.
+    """
+    st = x if isinstance(x, Stencil) else interpolation_stencil(f.grid, x)
+    if st.grid != f.grid:
+        raise ValueError(f"stencil built for {st.grid}, field lives on {f.grid}")
+    terms = f.values.ravel()[st.index]
+    terms *= st.weight
+    # one corner at a time from zero, in ascending corner order, so that
+    # points and a stencil of them give the same bits
+    out = np.zeros(terms.shape[1])
+    for term in terms:
+        out += term
+    if not isinstance(x, Stencil) and np.asarray(x).ndim == 1:
         return float(out[0])
     return out
 

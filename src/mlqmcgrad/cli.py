@@ -359,16 +359,17 @@ def _base_manifest(cfg: RunConfig) -> dict:
 
 
 def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, manifest: dict,
-            paths: dict, allocation=None) -> RunArtifacts:
+            paths: dict, allocation=None, coupled: bool = True) -> RunArtifacts:
     _write_json(outdir / "manifest.json", manifest)
     paths["manifest"] = outdir / "manifest.json"
-    ledger = estimators.cost_ledger(hier, allocation)
+    ledger = estimators.cost_ledger(hier, allocation, coupled)
     ledger["openblas_num_threads"] = OPENBLAS_NUM_THREADS
     _write_json(outdir / "timing.json", ledger)
     paths["timing"] = outdir / "timing.json"
-    rows = [(r["level"], float(r["ce_seconds_mean"]), float(r["fe_seconds_mean"]))
-            for r in ledger["levels"]]
-    _write_csv(outdir / "level_cost.csv", ["level", "ce_seconds", "fe_seconds"], rows)
+    rows = [(r["level"], float(r["ce_seconds_mean"]), float(r["fe_seconds_mean"]),
+             r["correction"]) for r in ledger["levels"]]
+    _write_csv(outdir / "level_cost.csv",
+               ["level", "ce_seconds", "fe_seconds", "correction"], rows)
     paths["level_cost"] = outdir / "level_cost.csv"
     return RunArtifacts(outdir=outdir, manifest=manifest, paths=paths)
 
@@ -403,7 +404,8 @@ def run_experiment(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
     _write_gradient(outdir, hier, sweep.gradient)
     paths["gradient_txt"] = outdir / "gradient.txt"
     paths["gradient_csv"] = outdir / "gradient.csv"
-    return _finish(outdir, cfg, hier, manifest, paths, _allocation(sweep))
+    return _finish(outdir, cfg, hier, manifest, paths, _allocation(sweep),
+                   sweep.coupled)
 
 
 def _loglog_slope_or_reason(x: list, y: list, name: str):
@@ -475,9 +477,11 @@ def cost_curve(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     for method in estimators.METHODS:
         sweep = estimator_sweep(hier, method, ecfg["eps"], ecfg["cost_cap"])
         sweeps[method] = sweep
-        ledger = estimators.cost_ledger(hier, _allocation(sweep))
-        measured = ledger.get("cost_measured_normalized", float("nan"))
+        final = _allocation(sweep)
         for p in sweep.points:
+            # each row's measured cost from that row's own allocation
+            alloc = [(level, R, N) for (level, R, _), N in zip(final, p.N)]
+            measured = estimators.measured_cost(hier, alloc, sweep.coupled)
             rows.append((method, p.eps, p.rmse, p.cost, measured))
         exp_rows.append((method, sweep.exponent, sweep.warmup_cost,
                          len(sweep.fit_states)))

@@ -47,6 +47,7 @@ __all__ = [
     "coupled_sample",
     "allocate_samples",
     "estimator_sweep",
+    "measured_cost",
     "cost_ledger",
     "fit_loglog_slope",
     "cost_fit_states",
@@ -74,7 +75,9 @@ class _LevelTiming:
 
 
 class LevelHierarchy:
-    """Per-level FE meshes, CE factorizations, lattice vectors and shifts.
+    """Per-level FE meshes, CE factorizations and lattice vectors, plus
+    what every sample of a level reuses: the mean log-field on its CE
+    grid and the stencil of its FE centroids in that grid.
 
     Immutable after construction; estimation only reads it (the timing
     ledger is the one mutable side channel).
@@ -108,12 +111,18 @@ class LevelHierarchy:
         self.ce_grids: List[UniformGrid] = []
         self.embeddings: List[CirculantEmbedding] = []
         self.vectors: List[qmc.GeneratingVector] = []
+        self.mean_values: List[np.ndarray] = []
         for ell in range(L + 1):
             coarser = self.fe_levels[-1] if self.fe_levels else None
-            self.fe_levels.append(
-                fem.build_fe_level(ell, 2 ** (fe_offset + ell) + 1, coarser))
+            lev = fem.build_fe_level(ell, 2 ** (fe_offset + ell) + 1, coarser)
+            self.fe_levels.append(lev)
             grid = UniformGrid(dim=2, points_per_axis=2 ** (ce_offset + ell) + 1)
             self.ce_grids.append(grid)
+            # evaluated (and checked finite) once, added to every sample
+            self.mean_values.append(mean.at(grid.points()))
+            # a correction's coarse term puts this level's FE mesh on this
+            # level's CE grid too, so one stencil per level serves both terms
+            lev.centroid_stencil(grid)
             emb = build_embedding(kernel, grid, tol=ce_tol)
             self.embeddings.append(emb)
             self.vectors.append(
@@ -127,11 +136,12 @@ class LevelHierarchy:
         self._b_z = [fem.assemble_load(lev, objective.z) for lev in self.fe_levels]
         self._g_quad = [objective.g(lev.quad_points) for lev in self.fe_levels]
 
-        self.timing: Dict[int, _LevelTiming] = {
-            ell: _LevelTiming() for ell in range(L + 1)}
+        # keyed by (level, correction): a correction q_l - q_{l-1} and a
+        # plain q_l sample at the same level cost different amounts
+        self.timing: Dict[Tuple[int, bool], _LevelTiming] = {}
 
-    def record_timing(self, level: int, ce: float, fe: float):
-        t = self.timing[level]
+    def record_timing(self, level: int, correction: bool, ce: float, fe: float):
+        t = self.timing.setdefault((level, correction), _LevelTiming())
         t.samples += 1
         t.ce_seconds += ce
         t.fe_seconds += fe
@@ -160,13 +170,14 @@ def coupled_sample(hier: LevelHierarchy, ell: int, y: np.ndarray,
     """
     t0 = time.perf_counter()
     try:
-        fld = sample_field(hier.embeddings[ell], hier.mean, y, level=ell)
+        fld = sample_field(hier.embeddings[ell], hier.mean_values[ell], y, level=ell)
     except Exception as exc:
         raise type(exc)(f"level {ell}: {exc}") from exc
     t1 = time.perf_counter()
+    correction = coupled and ell > 0
     try:
         q_fine = adjoint_solution(hier, ell, fld)
-        if coupled and ell > 0:
+        if correction:
             fld_coarse = restrict_to_coarse(fld, hier.ce_grids[ell - 1])
             q_coarse = adjoint_solution(hier, ell - 1, fld_coarse)
             q_fine = FeFunction(
@@ -177,7 +188,7 @@ def coupled_sample(hier: LevelHierarchy, ell: int, y: np.ndarray,
     except fem.SolverDiverged as exc:
         raise fem.SolverDiverged(f"level {ell}: {exc}") from exc
     t2 = time.perf_counter()
-    hier.record_timing(ell, t1 - t0, t2 - t1)
+    hier.record_timing(ell, correction, t1 - t0, t2 - t1)
     return q_fine
 
 
@@ -231,22 +242,24 @@ class QmcLevelAccumulator(_LevelAccumulator):
             raise InsufficientShifts(f"need R >= 2 shifts, got {R}")
         super().__init__(hier, level, coupled, hier.warmup_qmc)
         self.R = R
-        self.shifts = qmc.make_shift_set(hier.master_seed, level, R,
-                                         hier.embeddings[level].s)
         self.gv = hier.vectors[level]
         M = hier.fe_levels[level].num_nodes
         self.sums = np.zeros((R, M))
 
-    def _evaluate(self, r: int, k: int) -> np.ndarray:
-        xi = qmc.sequence_point(self.gv, k, self.shifts[r])
+    def _evaluate(self, shift: np.ndarray, k: int) -> np.ndarray:
+        xi = qmc.sequence_point(self.gv, k, shift)
         y = qmc.cube_to_normal(xi)
         return coupled_sample(self.hier, self.level, y, self.coupled).nodal_values
 
     def refine(self):
+        # shifts are drawn again on every refinement, one at a time: keeping
+        # all R of them would hold 8 R s bytes per level for the whole run
         n_new = self.warmup if self.N == 0 else 2 * self.N
-        for r in range(self.R):
+        shifts = qmc.make_shift_set(self.hier.master_seed, self.level, self.R,
+                                    self.hier.embeddings[self.level].s)
+        for r, shift in enumerate(shifts):
             for k in range(self.N, n_new):
-                self.sums[r] += self._evaluate(r, k)
+                self.sums[r] += self._evaluate(shift, k)
         self.N = n_new
 
     def per_shift_means(self) -> np.ndarray:
@@ -440,6 +453,11 @@ class SweepResult:
     gradient: GradientEstimate
 
     @property
+    def coupled(self) -> bool:
+        """Whether levels above 0 sample corrections (the multilevel methods)."""
+        return self.method in ("mlmc", "mlqmc")
+
+    @property
     def fit_states(self) -> List[SweepPoint]:
         return cost_fit_states(self.trajectory, self.warmup_N)
 
@@ -475,39 +493,64 @@ def estimator_sweep(hier: LevelHierarchy, method: str, eps_list: Sequence[float]
 # -- cost accounting and fits --------------------------------------------------
 
 
+def _median_seconds(hier: LevelHierarchy, level: int, correction: bool) -> float:
+    t = hier.timing.get((level, correction))
+    return float(np.median(t.totals)) if t else np.nan
+
+
+def measured_cost(hier: LevelHierarchy, allocation: Sequence[Tuple[int, int, int]],
+                  coupled: bool = True) -> float:
+    """Measured cost of an allocation, in finest-level samples.
+
+    ``allocation`` rows are (level, R, N); a level above 0 samples the
+    correction q_l - q_{l-1} when ``coupled``, else plain q_l.  Each row
+    costs R * N median sample times of its own kind, and the sum is
+    divided by the median time of one finest-level sample of that kind,
+    as the model cost is normalized by its own finest-level sample.
+    """
+    finest = _median_seconds(hier, hier.L, coupled and hier.L > 0)
+    total = sum(R * N * _median_seconds(hier, level, coupled and level > 0)
+                for level, R, N in allocation)
+    return total / finest
+
+
 def cost_ledger(hier: LevelHierarchy,
-                allocation: Optional[Sequence[Tuple[int, int, int]]] = None) -> dict:
+                allocation: Optional[Sequence[Tuple[int, int, int]]] = None,
+                coupled: bool = True) -> dict:
     """Measured per-level costs and (optionally) a normalized run cost.
 
-    ``allocation`` rows are (level, R, N).  The normalized measured cost
-    divides by the median cost of one finest-level sample; the model
-    cost uses h_l^-kappa the same way.  ``kappa_measured`` is the
-    measured counterpart of the model's kappa: minus the log-log slope
-    of the median sample time against h, positive when cost grows as
-    the mesh refines.
+    ``levels`` holds one row per level for the samples of the run's
+    kind (corrections above level 0 when ``coupled``, plain samples
+    otherwise), then a row for each level where the other kind was
+    sampled too, as ``cost-curve`` does.  ``allocation`` rows are
+    (level, R, N); see ``measured_cost``, and the model cost uses
+    h_l^-kappa the same way.  ``kappa_measured`` is the measured
+    counterpart of the model's kappa: minus the log-log slope of the
+    run kind's median sample time against h, positive when cost grows
+    as the mesh refines.
     """
-    rows = []
-    for ell in range(hier.L + 1):
-        t = hier.timing[ell]
-        rows.append({
+    def row(ell: int, correction: bool) -> dict:
+        t = hier.timing.get((ell, correction), _LevelTiming())
+        return {
             "level": ell,
+            "correction": correction,
             "samples": t.samples,
             "ce_seconds_mean": t.ce_seconds / t.samples if t.samples else np.nan,
             "fe_seconds_mean": t.fe_seconds / t.samples if t.samples else np.nan,
-            "total_seconds_median": float(np.median(t.totals)) if t.totals else np.nan,
-        })
+            "total_seconds_median": _median_seconds(hier, ell, correction),
+        }
+
+    kinds = [coupled and ell > 0 for ell in range(hier.L + 1)]
+    rows = [row(ell, kind) for ell, kind in enumerate(kinds)]
+    med = np.array([r["total_seconds_median"] for r in rows])
+    rows += [row(ell, not kind) for ell, kind in enumerate(kinds)
+             if (ell, not kind) in hier.timing]
     out = {"levels": rows}
-    medians = {r["level"]: r["total_seconds_median"] for r in rows}
     if allocation is not None:
-        finest = medians.get(hier.L, np.nan)
-        measured = model = 0.0
-        for level, R, N in allocation:
-            measured += R * N * medians.get(level, np.nan)
-            model += R * N * hier.cost_model[level]
-        out["cost_measured_normalized"] = measured / finest
-        out["cost_model_normalized"] = model  # cost_model already normalized
+        out["cost_measured_normalized"] = measured_cost(hier, allocation, coupled)
+        out["cost_model_normalized"] = sum(  # cost_model already normalized
+            R * N * hier.cost_model[level] for level, R, N in allocation)
     hs = np.array([lev.h for lev in hier.fe_levels])
-    med = np.array([medians[ell] for ell in range(hier.L + 1)])
     valid = np.isfinite(med)
     if valid.sum() >= 2:
         out["kappa_measured"] = -fit_loglog_slope(hs[valid], med[valid])

@@ -22,7 +22,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .circulant_field import FieldRealization, NestingViolation, eval_field
+from .circulant_field import (
+    FieldRealization,
+    NestingViolation,
+    Stencil,
+    UniformGrid,
+    eval_field,
+    interpolation_stencil,
+)
 
 __all__ = [
     "FeLevel",
@@ -97,6 +104,7 @@ class FeLevel:
         self._build_mass()
         self._build_load_operator()
         self.prolongation: Optional[sp.csr_matrix] = None  # set by build_fe_level
+        self._stencils: dict = {}   # CE grid -> centroid Stencil
 
     # -- mesh construction -------------------------------------------------
 
@@ -138,12 +146,12 @@ class FeLevel:
     def _build_pattern(self):
         # CSR pattern of the stiffness and mass matrices (sorted, duplicates
         # merged), the pattern position of each of the 9 local entries per
-        # triangle, the data positions of the Dirichlet-eliminated
-        # interior block, in that block's own CSR order, and those of its
-        # lower triangle with their flat positions in a C-ordered
-        # (n_int, kd + 1) band array, whose transpose is LAPACK's lower
-        # ``pb`` storage.  The half-bandwidth kd is at most m + 1 for m
-        # interior nodes per axis, the offset of the diagonal neighbour.
+        # triangle, and the data positions of the lower triangle of the
+        # Dirichlet-eliminated interior block with their flat positions in
+        # a C-ordered (n_int, kd + 1) band array, whose transpose is
+        # LAPACK's lower ``pb`` storage.  The half-bandwidth kd is at most
+        # m + 1 for m interior nodes per axis, the offset of the diagonal
+        # neighbour.
         M = self.num_nodes
         rows = np.repeat(self.triangles, 3, axis=1).ravel()   # (9*ntri,)
         cols = np.tile(self.triangles, (1, 3)).ravel()
@@ -154,16 +162,11 @@ class FeLevel:
         new_index = np.full(M, -1)
         new_index[self.interior] = np.arange(self.interior.size)
         rows, cols = new_index[rows], new_index[cols]
-        inner = (rows >= 0) & (cols >= 0)
-        self._int_pos = np.flatnonzero(inner)
-        rows, cols = rows[inner], cols[inner]
-        self._int_indices = cols.astype(np.int32)
-        self._int_indptr = np.searchsorted(
-            rows, np.arange(self.interior.size + 1)).astype(np.int32)
-        lower = rows >= cols
+        lower = (cols >= 0) & (rows >= cols)
+        self._band_pos = np.flatnonzero(lower)
+        rows, cols = rows[lower], cols[lower]
         self._band_kd = int((rows - cols).max())
-        self._band_pos = self._int_pos[lower]
-        self._band_flat = cols[lower] * (self._band_kd + 1) + (rows - cols)[lower]
+        self._band_flat = cols * (self._band_kd + 1) + (rows - cols)
 
     def _assemble(self, local_data: np.ndarray) -> sp.csr_matrix:
         """Sum (ntri, 3, 3) local matrices into the level's CSR pattern."""
@@ -215,6 +218,14 @@ class FeLevel:
         ).tocsr()
 
     # -- point evaluation ---------------------------------------------------
+
+    def centroid_stencil(self, grid: UniformGrid) -> Stencil:
+        """Interpolation stencil of the triangle centroids in ``grid``,
+        built on first use and kept for every later field on that grid."""
+        st = self._stencils.get(grid)
+        if st is None:
+            st = self._stencils[grid] = interpolation_stencil(grid, self.centroids)
+        return st
 
     def eval_function(self, f: FeFunction, x: np.ndarray) -> np.ndarray:
         """Evaluate a P1 function at arbitrary points of the unit square."""
@@ -297,13 +308,14 @@ def assemble_stiffness(lev: FeLevel, a: Union[FieldRealization, np.ndarray, floa
                        ) -> sp.csr_matrix:
     """Stiffness matrix for coefficient ``a`` (full node set, symmetric).
 
-    ``a`` may be a FieldRealization (evaluated at triangle centroids), an
-    array of per-triangle values, or a constant.  Dirichlet elimination
-    happens in the solver, not here.  The result always has the level's
-    fixed CSR pattern, explicit zeros included.
+    ``a`` may be a FieldRealization (evaluated at triangle centroids
+    through the level's stencil for the field's grid), an array of
+    per-triangle values, or a constant.  Dirichlet elimination happens
+    in the solver, not here.  The result always has the level's fixed
+    CSR pattern, explicit zeros included.
     """
     if isinstance(a, FieldRealization):
-        a_elem = eval_field(a, lev.centroids)
+        a_elem = eval_field(a, lev.centroid_stencil(a.grid))
     else:
         a_elem = np.broadcast_to(np.asarray(a, dtype=float), (lev.num_triangles,))
     return lev._assemble(a_elem[:, None, None] * lev._local_stiff)
@@ -325,14 +337,6 @@ def assemble_load(lev: FeLevel, f: Union[Callable, np.ndarray],
 
 
 # -- solver: banded Cholesky ---------------------------------------------------
-
-
-def _interior(lev: FeLevel, A: sp.csr_matrix) -> sp.csr_matrix:
-    """Interior block of a matrix from ``assemble_stiffness`` on ``lev``,
-    gathered by the level's precomputed pattern positions."""
-    n = lev.interior.size
-    return sp.csr_matrix((A.data[lev._int_pos], lev._int_indices, lev._int_indptr),
-                         shape=(n, n))
 
 
 def _lower_band(lev: FeLevel, A: sp.csr_matrix) -> np.ndarray:
@@ -359,8 +363,9 @@ class OperatorSet:
         lev = levels[top]
         self.lev = lev
         self.rtol = rtol
-        A = assemble_stiffness(lev, a)
-        self.A_int = _interior(lev, A)
+        # the full operator serves the residual check: with zero boundary
+        # values its interior rows give A_int @ x_int, without building A_int
+        self.A = A = assemble_stiffness(lev, a)
         # the F-ordered view is LAPACK's own layout, so f2py factors it in
         # place instead of copying it
         factor, info = dpbtrf(_lower_band(lev, A), lower=1, overwrite_ab=1)
@@ -375,15 +380,14 @@ class OperatorSet:
     def solve(self, b_full: np.ndarray) -> FeFunction:
         lev = self.lev
         b = b_full[lev.interior]
-        x_int = self._precond(b)
-        res = np.linalg.norm(b - self.A_int @ x_int)
+        x = np.zeros(lev.num_nodes)
+        x[lev.interior] = self._precond(b)
+        res = np.linalg.norm(b - (self.A @ x)[lev.interior])
         nb = np.linalg.norm(b)
         if not res <= self.rtol * nb:
             raise SolverDiverged(
                 f"banded Cholesky solve left relative residual {res / nb:.1e} "
                 f"above rtol={self.rtol}")
-        x = np.zeros(lev.num_nodes)
-        x[lev.interior] = x_int
         return FeFunction(level=lev.level, nodal_values=x)
 
 

@@ -16,7 +16,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -76,13 +76,16 @@ def shift_rng(master_seed: int, stream: str, *keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(tokens)))
 
 
-def make_shift_set(master_seed: int, level: int, R: int, s: int) -> np.ndarray:
-    """R uniform shifts in [0,1)^s, shape (R, s), keyed by (seed, level,
-    shift index): independent across levels, prefix-stable in R."""
-    shifts = np.empty((R, s))
+def make_shift_set(master_seed: int, level: int, R: int,
+                   s: int) -> Iterator[np.ndarray]:
+    """Yield R uniform shifts in [0,1)^s one at a time, shift r keyed by
+    (seed, level, r): independent across levels, prefix-stable in R.
+
+    Each shift is drawn when it is reached, so a caller that works
+    through the shifts in order holds one of them at a time.
+    """
     for r in range(R):
-        shifts[r] = shift_rng(master_seed, "shift", level, r).random(s)
-    return shifts
+        yield shift_rng(master_seed, "shift", level, r).random(s)
 
 
 def lattice_point(gv: GeneratingVector, N: int, i: int,

@@ -14,6 +14,7 @@ from mlqmcgrad.circulant_field import (
     build_embedding,
     eval_field,
     factor_row,
+    interpolation_stencil,
     restrict_to_coarse,
     sample_field,
 )
@@ -305,6 +306,73 @@ class TestEvalField:
             step[ax] = delta
             grad = (eval_field(fld, pts + step) - eval_field(fld, pts - step)) / (2 * delta)
             assert np.all(np.abs(grad) <= bound * (1 + 1e-6) + 1e-12)
+
+
+def tensor_interpolation(vals, x):
+    """Reference: linear interpolation along one axis at a time, from the
+    first, in the lower cell at cell boundaries (clamped at the top)."""
+    n = vals.shape[0]
+    out = []
+    for pt in np.atleast_2d(x):
+        v = vals
+        for xa in pt:
+            i = min(int(xa * (n - 1)), n - 2)
+            w = xa * (n - 1) - i
+            v = (1.0 - w) * v[i] + w * v[i + 1]
+        out.append(float(v))
+    return np.array(out)
+
+
+@st.composite
+def grid_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 33))
+    # random coordinates, cell boundaries (grid lines) and both edges
+    coord = st.one_of(st.floats(0.0, 1.0),
+                      st.integers(0, n - 1).map(lambda k: k / (n - 1)),
+                      st.sampled_from([0.0, 1.0]))
+    npts = draw(st.integers(1, 12))
+    pts = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                        min_size=npts, max_size=npts))
+    return UniformGrid(dim=dim, points_per_axis=n), np.array(pts, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gp=grid_and_points(), seed=st.integers(0, 2**32 - 1))
+def test_stencil_matches_points_form_bitwise(gp, seed):
+    grid, pts = gp
+    n = grid.points_per_axis
+    vals = np.exp(np.random.default_rng(seed).standard_normal((n,) * grid.dim))
+    fld = FieldRealization(level=0, grid=grid, log_values=np.log(vals), values=vals)
+    direct = eval_field(fld, pts)
+    assert np.array_equal(eval_field(fld, interpolation_stencil(grid, pts)), direct)
+    np.testing.assert_allclose(direct, tensor_interpolation(vals, pts),
+                               rtol=1e-13, atol=0.0)
+    # a single point gives a float, equal to its one-point stencil
+    single = eval_field(fld, pts[0])
+    assert isinstance(single, float)
+    assert single == direct[0]
+    assert eval_field(fld, interpolation_stencil(grid, pts[0]))[0] == single
+
+
+def test_stencil_checks_domain_and_grid():
+    grid = UniformGrid(dim=2, points_per_axis=3)
+    with pytest.raises(ValueError):
+        interpolation_stencil(grid, np.array([[0.5, 1.2]]))
+    other = FieldRealization(level=0, grid=UniformGrid(dim=2, points_per_axis=5),
+                             log_values=np.zeros((5, 5)), values=np.ones((5, 5)))
+    with pytest.raises(ValueError, match="stencil"):
+        eval_field(other, interpolation_stencil(grid, np.array([[0.5, 0.5]])))
+
+
+def test_precomputed_mean_bitwise():
+    emb = build_embedding(P1_KERNEL, UniformGrid(dim=2, points_per_axis=9))
+    mean = MeanField(lambda x: 0.3 * x[:, 0] - x[:, 1])
+    y = np.random.default_rng(12).standard_normal(emb.s)
+    fld = sample_field(emb, mean, y, level=2)
+    pre = sample_field(emb, mean.at(emb.grid.points()), y, level=2)
+    assert np.array_equal(pre.log_values, fld.log_values)
+    assert np.array_equal(pre.values, fld.values)
 
 
 class TestRestriction:

@@ -249,6 +249,24 @@ class TestCostCurve:
             assert np.isnan(float(r["exponent"])) == (int(r["states_fitted"]) < 2)
 
 
+    def test_measured_cost_follows_each_rows_allocation(self, tmp_path):
+        cfg = RunConfig.from_dict({
+            "geometry": {"L": 2},
+            "estimator": {"eps": [1e-2, 3e-3, 1e-3, 3e-4]},
+            "seed": 5,
+        })
+        cli.cost_curve(cfg, tmp_path)
+        rows = list(csv.DictReader((tmp_path / "cost_curve.csv").open()))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        mc = [(sweep["N"], float(r["cost_measured_normalized"]))
+              for sweep, r in zip(manifest["sweeps"]["mc"],
+                                  [r for r in rows if r["method"] == "mc"])]
+        assert len({tuple(N) for N, _ in mc}) > 1
+        for N_a, meas_a in mc:
+            for N_b, meas_b in mc:
+                assert (meas_a == meas_b) == (N_a == N_b)
+
+
 class TestMainEntry:
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

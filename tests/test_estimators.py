@@ -1,10 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from conftest import make_hierarchy, zero_fn
 
+from mlqmcgrad import circulant_field
 from mlqmcgrad import estimators as est
 from mlqmcgrad import fem
-from mlqmcgrad.circulant_field import restrict_to_coarse, sample_field
+from mlqmcgrad.circulant_field import UniformGrid, restrict_to_coarse, sample_field
+from mlqmcgrad.covariance import MeanField
 from mlqmcgrad.estimators import (
     BudgetExceeded,
     InsufficientShifts,
@@ -85,6 +89,39 @@ class TestCoupledSample:
         term1 = q1.nodal_values - term0.nodal_values
         total = fem.FeFunction(1, term0.nodal_values + term1 - q1.nodal_values)
         assert fem.l2_norm(hier2.fe_levels[1], total) <= 1e-8
+
+
+    def test_later_samples_reuse_level_invariants(self, monkeypatch):
+        # the mean on the CE grid, the grid points and the centroids'
+        # domain check belong to the level, not to each sample
+        hier = make_hierarchy(L=2, seed=31)
+        rng = np.random.default_rng(4)
+
+        def draw(ell):
+            return rng.standard_normal(hier.embeddings[ell].s)
+
+        for ell in range(3):
+            coupled_sample(hier, ell, draw(ell))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(MeanField, "at", counted("at", MeanField.at))
+        monkeypatch.setattr(UniformGrid, "points", counted("points", UniformGrid.points))
+        monkeypatch.setattr(circulant_field, "_check_in_domain",
+                            counted("domain", circulant_field._check_in_domain))
+        for ell in range(3):
+            for coupled in (True, False):
+                coupled_sample(hier, ell, draw(ell), coupled)
+        assert calls == Counter()
+        # the counters are live: the points forms still pay for each call
+        fld = sample_field(hier.embeddings[0], hier.mean, draw(0))
+        circulant_field.eval_field(fld, hier.fe_levels[0].centroids)
+        assert calls == Counter(at=1, points=1, domain=1)
 
 
 class TestLevelEstimates:
@@ -337,6 +374,22 @@ class TestCostLedger:
         assert ledger["cost_model_normalized"] == sum(
             4 * hier2.cost_model[ell] for ell in range(3))
         assert ledger["kappa_measured"] > 0
+
+    def test_corrections_and_plain_samples_kept_apart(self):
+        hier = make_hierarchy(L=1, seed=19)
+        qmc_level(hier, 1, N=2, R=2)                   # 4 corrections
+        acc = McLevelAccumulator(hier, 1, coupled=False)
+        acc.warmup = 3
+        acc.refine()                                   # 3 plain samples
+        ledger = est.cost_ledger(hier)
+        rows = [(r["level"], r["correction"], r["samples"]) for r in ledger["levels"]]
+        assert rows == [(0, False, 0), (1, True, 4), (1, False, 3)]
+        plain = est.cost_ledger(hier, [(1, 1, 5)], coupled=False)
+        assert [(r["level"], r["correction"]) for r in plain["levels"]] == [
+            (0, False), (1, False), (1, True)]
+        # a single-level allocation counts its own finest-level samples
+        assert plain["cost_measured_normalized"] == 5.0
+        assert est.measured_cost(hier, [(1, 2, 3)], coupled=True) == 6.0
 
     def test_measured_cost_monotone_in_level(self):
         hier = make_hierarchy(L=2, seed=17)

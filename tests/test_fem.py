@@ -84,12 +84,6 @@ def test_fixed_pattern_matches_coo_assembly(levels, ell, seed, log_spread):
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
     assert np.all(np.abs(A.data - ref.data) <= 1e-15 * np.abs(ref.data))
-    A_int = fem._interior(lev, A)
-    ref_int = A[lev.interior][:, lev.interior]
-    ref_int.sort_indices()
-    assert np.array_equal(A_int.indptr, ref_int.indptr)
-    assert np.array_equal(A_int.indices, ref_int.indices)
-    assert np.array_equal(A_int.data, ref_int.data)
 
 
 class TestLoad:

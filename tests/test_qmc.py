@@ -18,6 +18,7 @@ from mlqmcgrad.qmc import (
     make_shift_set,
     radical_inverse,
     sequence_point,
+    shift_rng,
     to_normal,
 )
 
@@ -257,18 +258,26 @@ class TestExtendVector:
 
 class TestShifts:
     def test_deterministic_and_level_independent(self):
-        a = make_shift_set(11, level=2, R=4, s=8)
-        b = make_shift_set(11, level=2, R=4, s=8)
-        c = make_shift_set(11, level=3, R=4, s=8)
+        a = np.array(list(make_shift_set(11, 2, 4, 8)))
+        b = np.array(list(make_shift_set(11, 2, 4, 8)))
+        c = np.array(list(make_shift_set(11, 3, 4, 8)))
         assert a.shape == (4, 8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.all((a >= 0) & (a < 1))
 
     def test_prefix_stable_in_R(self):
-        small = make_shift_set(11, level=1, R=3, s=8)
-        large = make_shift_set(11, level=1, R=6, s=8)
+        small = np.array(list(make_shift_set(11, 1, 3, 8)))
+        large = np.array(list(make_shift_set(11, 1, 6, 8)))
         assert np.array_equal(large[:3], small)
+
+    def test_drawn_one_at_a_time(self):
+        # shift r is drawn when the caller reaches it, from its own key
+        shifts = make_shift_set(11, 1, 3, 8)
+        first = next(shifts)
+        assert first.shape == (8,)
+        assert np.array_equal(first, shift_rng(11, "shift", 1, 0).random(8))
+        assert len(list(shifts)) == 2
 
 
 class TestStatisticalProperties:
