@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
-from .covariance import MaternParams, MeanField, matern_cov
+from .covariance import MaternParams, matern_cov
 
 __all__ = [
     "UniformGrid",
@@ -285,8 +284,8 @@ def assign_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_field(e: CirculantEmbedding, zbar: Union[MeanField, np.ndarray],
-                 y: np.ndarray, level: int = 0) -> FieldRealization:
+def sample_field(e: CirculantEmbedding, zbar: np.ndarray, y: np.ndarray,
+                 level: int = 0) -> FieldRealization:
     """Draw the lognormal field for one vector of standard normals.
 
     ``y`` is consumed in importance order (coordinate 0 drives the
@@ -296,9 +295,9 @@ def sample_field(e: CirculantEmbedding, zbar: Union[MeanField, np.ndarray],
     only the first n outputs (the physical grid), and one real inverse
     FFT over the last axis.  Then adds the mean and exponentiates.
 
-    ``zbar`` is the mean field, or its values at ``e.grid.points()``
-    (C-ordered, any shape with that many entries) already evaluated and
-    checked by ``MeanField.at``, which spares the per-sample evaluation.
+    ``zbar`` holds the mean log-field's values at ``e.grid.points()``
+    (C-ordered, any shape with that many entries), as ``MeanField.at``
+    returns them; a hierarchy evaluates them once per level.
     """
     y = _check_inputs(e, y)
     dim, ext = e.grid.dim, e.ext_per_axis
@@ -313,8 +312,6 @@ def sample_field(e: CirculantEmbedding, zbar: Union[MeanField, np.ndarray],
     z = np.fft.irfft(z, n=ext, axis=0)[:n]
 
     log_vals = np.ascontiguousarray(z.T)
-    if isinstance(zbar, MeanField):
-        zbar = zbar.at(e.grid.points())
     log_vals += np.reshape(zbar, (n,) * dim)
     return FieldRealization(level=level, grid=e.grid,
                             log_values=log_vals, values=np.exp(log_vals))
@@ -357,7 +354,7 @@ class Stencil:
     the point's cell and ``weight[c]`` its weight; corner c takes the
     upper vertex on axis ax when bit ax of c is set.  Built once by
     ``interpolation_stencil``, it evaluates every field on ``grid`` at
-    those points without locating them again.
+    those points (``eval_field``) without locating them again.
     """
 
     grid: UniformGrid
@@ -393,27 +390,21 @@ def interpolation_stencil(grid: UniformGrid, x: np.ndarray) -> Stencil:
     return Stencil(grid=grid, index=index, weight=weight)
 
 
-def eval_field(f: FieldRealization, x: Union[np.ndarray, Stencil]) -> np.ndarray:
-    """Multilinear interpolation of the field at points in the unit cube.
+def eval_field(f: FieldRealization, st: Stencil) -> np.ndarray:
+    """Multilinear interpolation of the field at the points of ``st``.
 
-    ``x`` is a point (shape (d,)), an array of points (npts, d), or a
-    ``Stencil`` of points built for ``f.grid``.  The interpolation is a
-    convex combination of the 2^d surrounding vertex values, exact at
-    grid nodes; values stay inside the nodal range.  A point returns a
-    float, the other forms an array.
+    ``st`` must be built for ``f.grid`` (else ValueError).  The
+    interpolation is a convex combination of the 2^d surrounding vertex
+    values, exact at grid nodes; values stay inside the nodal range.
     """
-    st = x if isinstance(x, Stencil) else interpolation_stencil(f.grid, x)
     if st.grid != f.grid:
         raise ValueError(f"stencil built for {st.grid}, field lives on {f.grid}")
     terms = f.values.ravel()[st.index]
     terms *= st.weight
-    # one corner at a time from zero, in ascending corner order, so that
-    # points and a stencil of them give the same bits
+    # one corner at a time from zero, in a fixed (ascending) corner order
     out = np.zeros(terms.shape[1])
     for term in terms:
         out += term
-    if not isinstance(x, Stencil) and np.asarray(x).ndim == 1:
-        return float(out[0])
     return out
 
 

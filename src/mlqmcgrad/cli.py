@@ -188,9 +188,19 @@ class RunConfig:
         for key in ("g", "z"):
             _require(isinstance(obj[key], dict), f"objective.{key}", "an object",
                      obj[key])
+            try:
+                make_field_function(obj[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"objective.{key}: {exc}") from None
         gv = data["qmc"]["generating_vector"]
         _require(gv is None or isinstance(gv, str), "qmc.generating_vector",
                  "null or a path", gv)
+        if gv:
+            try:
+                qmc.load_generating_vector(gv, n_min=data["qmc"]["n_min"],
+                                           n_max=data["qmc"]["n_max"])
+            except (OSError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"qmc.generating_vector: {exc}") from None
         _require(_is_int(data["seed"]) and data["seed"] >= 0, "seed",
                  "an integer >= 0", data["seed"])
         _require(isinstance(data["output"], str), "output", "a path", data["output"])
@@ -219,14 +229,24 @@ def preset_config(name: str) -> dict:
     raise ConfigError(f"unknown preset {name!r}; expected problem1 or problem2")
 
 
-def load_config(path) -> RunConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+def load_config(path=None, preset: Optional[str] = None,
+                seed: Optional[int] = None) -> RunConfig:
+    """The run configuration: the ``preset``, overlaid by the JSON file at
+    ``path``, overlaid by ``seed``; each layer is optional."""
+    raw = preset_config(preset) if preset else {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except ValueError as exc:  # malformed JSON or text encoding
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError("config must be a JSON object")
+        raw = _deep_merge(raw, loaded)
+    if seed is not None:
+        raw = _deep_merge(raw, {"seed": seed})
     return RunConfig.from_dict(raw)
 
 
@@ -535,22 +555,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        raw = {}
-        if args.preset:
-            raw = preset_config(args.preset)
-        if args.config:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ConfigError("config must be a JSON object")
-            raw = _deep_merge(raw, loaded)
-        if args.seed is not None:
-            raw = _deep_merge(raw, {"seed": args.seed})
-        cfg = RunConfig.from_dict(raw)
-        outdir = args.out or os.environ.get("MLQMCGRAD_OUT") or cfg["output"]
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+        cfg = load_config(args.config, args.preset, args.seed)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    outdir = args.out or os.environ.get("MLQMCGRAD_OUT") or cfg["output"]
     try:
         artifacts = _COMMANDS[args.command](cfg, Path(outdir))
     except (SolverDiverged, BudgetExceeded, PaddingExhausted) as exc:

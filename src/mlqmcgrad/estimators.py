@@ -26,8 +26,11 @@ from . import fem, qmc
 from .circulant_field import (
     CirculantEmbedding,
     FieldRealization,
+    Stencil,
     UniformGrid,
     build_embedding,
+    eval_field,
+    interpolation_stencil,
     restrict_to_coarse,
     sample_field,
 )
@@ -77,7 +80,8 @@ class _LevelTiming:
 class LevelHierarchy:
     """Per-level FE meshes, CE factorizations and lattice vectors, plus
     what every sample of a level reuses: the mean log-field on its CE
-    grid and the stencil of its FE centroids in that grid.
+    grid and the stencil of its FE centroids in that grid (``stencils``,
+    the one map from a field to a mesh's per-triangle coefficients).
 
     Immutable after construction; estimation only reads it (the timing
     ledger is the one mutable side channel).
@@ -112,6 +116,7 @@ class LevelHierarchy:
         self.embeddings: List[CirculantEmbedding] = []
         self.vectors: List[qmc.GeneratingVector] = []
         self.mean_values: List[np.ndarray] = []
+        self.stencils: List[Stencil] = []
         for ell in range(L + 1):
             coarser = self.fe_levels[-1] if self.fe_levels else None
             lev = fem.build_fe_level(ell, 2 ** (fe_offset + ell) + 1, coarser)
@@ -122,7 +127,7 @@ class LevelHierarchy:
             self.mean_values.append(mean.at(grid.points()))
             # a correction's coarse term puts this level's FE mesh on this
             # level's CE grid too, so one stencil per level serves both terms
-            lev.centroid_stencil(grid)
+            self.stencils.append(interpolation_stencil(grid, lev.centroids))
             emb = build_embedding(kernel, grid, tol=ce_tol)
             self.embeddings.append(emb)
             self.vectors.append(
@@ -133,7 +138,8 @@ class LevelHierarchy:
         self.cost_model = (h / h[-1]) ** (-kappa)
 
         # objective data precomputed per level
-        self._b_z = [fem.assemble_load(lev, objective.z) for lev in self.fe_levels]
+        self._b_z = [fem.assemble_load(lev, objective.z(lev.quad_points))
+                     for lev in self.fe_levels]
         self._g_quad = [objective.g(lev.quad_points) for lev in self.fe_levels]
 
         # keyed by (level, correction): a correction q_l - q_{l-1} and a
@@ -150,10 +156,13 @@ class LevelHierarchy:
 
 def adjoint_solution(hier: LevelHierarchy, ell: int,
                      field: FieldRealization) -> FeFunction:
-    """State + adjoint solve at FE level ``ell`` for a given field."""
-    ops = OperatorSet(hier.fe_levels, ell, field, rtol=hier.solver_rtol)
-    u = ops.solve(hier._b_z[ell])
+    """State + adjoint solve at FE level ``ell`` for a field on
+    ``hier.ce_grids[ell]`` (ValueError for another grid), whose centroid
+    values come through ``hier.stencils[ell]``."""
     lev = hier.fe_levels[ell]
+    a_elem = eval_field(field, hier.stencils[ell])
+    ops = OperatorSet(lev, a_elem, rtol=hier.solver_rtol)
+    u = ops.solve(hier._b_z[ell])
     u_quad = lev._quad_eval @ u.nodal_values
     b_adj = fem.assemble_load(lev, u_quad - hier._g_quad[ell])
     return ops.solve(b_adj)
@@ -500,13 +509,15 @@ def _median_seconds(hier: LevelHierarchy, level: int, correction: bool) -> float
 
 def measured_cost(hier: LevelHierarchy, allocation: Sequence[Tuple[int, int, int]],
                   coupled: bool = True) -> float:
-    """Measured cost of an allocation, in finest-level samples.
+    """Measured cost of an allocation, in finest-level samples of its kind.
 
     ``allocation`` rows are (level, R, N); a level above 0 samples the
     correction q_l - q_{l-1} when ``coupled``, else plain q_l.  Each row
     costs R * N median sample times of its own kind, and the sum is
-    divided by the median time of one finest-level sample of that kind,
-    as the model cost is normalized by its own finest-level sample.
+    divided by the median time of one finest-level sample of that kind.
+    The model cost counts plain finest-level samples, of which a
+    correction costs C_L = 1 + 2^-kappa (about 1.18), so when ``coupled``
+    it is C_L times the measured cost even where the model is exact.
     """
     finest = _median_seconds(hier, hier.L, coupled and hier.L > 0)
     total = sum(R * N * _median_seconds(hier, level, coupled and level > 0)
@@ -523,11 +534,12 @@ def cost_ledger(hier: LevelHierarchy,
     kind (corrections above level 0 when ``coupled``, plain samples
     otherwise), then a row for each level where the other kind was
     sampled too, as ``cost-curve`` does.  ``allocation`` rows are
-    (level, R, N); see ``measured_cost``, and the model cost uses
-    h_l^-kappa the same way.  ``kappa_measured`` is the measured
-    counterpart of the model's kappa: minus the log-log slope of the
-    run kind's median sample time against h, positive when cost grows
-    as the mesh refines.
+    (level, R, N); see ``measured_cost``.  The model cost prices each
+    row at its own level's h_l^-kappa, in plain finest-level samples,
+    without a correction's coarse term.  ``kappa_measured`` is the
+    measured counterpart of the model's kappa: minus the log-log slope of
+    the run kind's median sample time against h, positive when cost
+    grows as the mesh refines.
     """
     def row(ell: int, correction: bool) -> dict:
         t = hier.timing.get((ell, correction), _LevelTiming())

@@ -4,7 +4,8 @@ Each square cell is split along the lower-left to upper-right diagonal
 into two triangles.  The state and adjoint Poisson problems carry
 homogeneous Dirichlet conditions; the sampled diffusion coefficient is
 taken piecewise constant per triangle (centroid value), loads use the
-three-point edge-midpoint rule (exact for quadratics).
+three-point edge-midpoint rule (exact for quadratics).  The layer takes
+numbers only: per-triangle coefficients and loads at ``quad_points``.
 
 The stiffness matrix is assembled into a CSR pattern fixed per level,
 and its Dirichlet-eliminated interior block is gathered by precomputed
@@ -22,14 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .circulant_field import (
-    FieldRealization,
-    NestingViolation,
-    Stencil,
-    UniformGrid,
-    eval_field,
-    interpolation_stencil,
-)
+from .circulant_field import NestingViolation
 
 __all__ = [
     "FeLevel",
@@ -104,7 +98,6 @@ class FeLevel:
         self._build_mass()
         self._build_load_operator()
         self.prolongation: Optional[sp.csr_matrix] = None  # set by build_fe_level
-        self._stencils: dict = {}   # CE grid -> centroid Stencil
 
     # -- mesh construction -------------------------------------------------
 
@@ -219,14 +212,6 @@ class FeLevel:
 
     # -- point evaluation ---------------------------------------------------
 
-    def centroid_stencil(self, grid: UniformGrid) -> Stencil:
-        """Interpolation stencil of the triangle centroids in ``grid``,
-        built on first use and kept for every later field on that grid."""
-        st = self._stencils.get(grid)
-        if st is None:
-            st = self._stencils[grid] = interpolation_stencil(grid, self.centroids)
-        return st
-
     def eval_function(self, f: FeFunction, x: np.ndarray) -> np.ndarray:
         """Evaluate a P1 function at arbitrary points of the unit square."""
         x_arr = np.atleast_2d(np.asarray(x, dtype=float))
@@ -304,32 +289,26 @@ def _prolongation_matrix(coarse: FeLevel, fine: FeLevel) -> sp.csr_matrix:
 # -- assembly ----------------------------------------------------------------
 
 
-def assemble_stiffness(lev: FeLevel, a: Union[FieldRealization, np.ndarray, float]
-                       ) -> sp.csr_matrix:
+def assemble_stiffness(lev: FeLevel, a: Union[np.ndarray, float]) -> sp.csr_matrix:
     """Stiffness matrix for coefficient ``a`` (full node set, symmetric).
 
-    ``a`` may be a FieldRealization (evaluated at triangle centroids
-    through the level's stencil for the field's grid), an array of
-    per-triangle values, or a constant.  Dirichlet elimination happens
-    in the solver, not here.  The result always has the level's fixed
-    CSR pattern, explicit zeros included.
+    ``a`` holds one value per triangle (the coefficient at its centroid),
+    or is a constant.  Dirichlet elimination happens in the solver, not
+    here.  The result always has the level's fixed CSR pattern, explicit
+    zeros included.
     """
-    if isinstance(a, FieldRealization):
-        a_elem = eval_field(a, lev.centroid_stencil(a.grid))
-    else:
-        a_elem = np.broadcast_to(np.asarray(a, dtype=float), (lev.num_triangles,))
+    a_elem = np.broadcast_to(np.asarray(a, dtype=float), (lev.num_triangles,))
     return lev._assemble(a_elem[:, None, None] * lev._local_stiff)
 
 
-def assemble_load(lev: FeLevel, f: Union[Callable, np.ndarray],
+def assemble_load(lev: FeLevel, fq: np.ndarray,
                   zero_boundary: bool = True) -> np.ndarray:
     """Load vector with the edge-midpoint quadrature rule.
 
-    ``f`` is a callable over (npts, 2) points or an array of values at
-    ``lev.quad_points``.  Dirichlet rows are zeroed unless
-    ``zero_boundary`` is False (used by partition-of-unity checks).
+    ``fq`` holds the load's values at ``lev.quad_points``.  Dirichlet
+    rows are zeroed unless ``zero_boundary`` is False (used by
+    partition-of-unity checks).
     """
-    fq = f(lev.quad_points) if callable(f) else np.asarray(f, dtype=float)
     b = lev._load_op @ fq
     if zero_boundary:
         b[lev.boundary_mask] = 0.0
@@ -351,16 +330,15 @@ def _lower_band(lev: FeLevel, A: sp.csr_matrix) -> np.ndarray:
 class OperatorSet:
     """Assembled operator and its banded Cholesky factor for one coefficient.
 
-    Built once per sampled field and reused for the state and adjoint
-    solves, which share the same bilinear form.  A factorization that
-    meets a non-positive pivot, or a solve whose relative residual
+    ``a`` is the coefficient on ``lev`` as ``assemble_stiffness`` takes
+    it.  Built once per sampled field and reused for the state and
+    adjoint solves, which share the same bilinear form.  A factorization
+    that meets a non-positive pivot, or a solve whose relative residual
     exceeds ``rtol`` (a NaN residual included), raises ``SolverDiverged``.
     """
 
-    def __init__(self, levels: Sequence[FeLevel], top: int,
-                 a: Union[FieldRealization, np.ndarray, float],
+    def __init__(self, lev: FeLevel, a: Union[np.ndarray, float],
                  rtol: float = 1e-10):
-        lev = levels[top]
         self.lev = lev
         self.rtol = rtol
         # the full operator serves the residual check: with zero boundary

@@ -20,7 +20,11 @@ from mlqmcgrad.circulant_field import (
 )
 
 P1_KERNEL = MaternParams(sigma2=0.1, lambda_c=1.0, nu=0.5)
-ZERO_MEAN = MeanField(0.0)
+
+
+def mean_values(emb, zbar=0.0):
+    """The mean log-field's values on the embedding's grid."""
+    return MeanField(zbar).at(emb.grid.points())
 
 
 def direct_covariance(kernel, grid):
@@ -91,7 +95,7 @@ def test_importance_order_sorted_by_eigenvalue():
 
 def test_zero_input_gives_mean_field():
     emb = build_embedding(P1_KERNEL, UniformGrid(dim=2, points_per_axis=3))
-    fld = sample_field(emb, MeanField(0.4), np.zeros(emb.s))
+    fld = sample_field(emb, mean_values(emb, 0.4), np.zeros(emb.s))
     assert np.allclose(fld.values, np.exp(0.4), atol=1e-14)
     assert np.all(fld.values > 0)
 
@@ -102,7 +106,7 @@ def test_fft_sampling_matches_dense_factor():
     rng = np.random.default_rng(0)
     for _ in range(10):
         y = rng.standard_normal(emb.s)
-        fld = sample_field(emb, MeanField(0.3), y)
+        fld = sample_field(emb, mean_values(emb, 0.3), y)
         dense = B @ assign_inputs(emb, y) + 0.3
         assert np.abs(fld.log_values.ravel() - dense).max() < 1e-10
 
@@ -116,7 +120,7 @@ def test_sampling_statistics_smoke():
     nsamp = 4000
     zs = np.empty((nsamp, grid.num_points))
     for i in range(nsamp):
-        zs[i] = sample_field(emb, ZERO_MEAN, rng.standard_normal(emb.s)).log_values.ravel()
+        zs[i] = sample_field(emb, mean_values(emb), rng.standard_normal(emb.s)).log_values.ravel()
     emp = np.cov(zs.T)
     se = np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / nsamp)
     assert np.abs(emp - sigma).max() / se.max() < 5.0
@@ -224,7 +228,7 @@ def test_sample_field_matches_full_spectrum_synthesis(case, nu, seed):
                           UniformGrid(dim=dim, points_per_axis=n))
     y = np.random.default_rng(seed).standard_normal(emb.s)
     ref = reference_synthesis(emb, y)
-    fld = sample_field(emb, MeanField(0.25), y, level=3)
+    fld = sample_field(emb, mean_values(emb, 0.25), y, level=3)
     assert fld.log_values.shape == (n,) * dim and fld.level == 3
     assert fld.log_values.flags.c_contiguous
     assert np.abs(fld.log_values - 0.25 - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -238,7 +242,7 @@ def test_sample_field_matches_full_spectrum_synthesis(case, nu, seed):
 def test_input_length_mismatch():
     emb = build_embedding(P1_KERNEL, UniformGrid(dim=1, points_per_axis=3))
     with pytest.raises(ValueError):
-        sample_field(emb, ZERO_MEAN, np.zeros(emb.s + 1))
+        sample_field(emb, mean_values(emb), np.zeros(emb.s + 1))
 
 
 def test_factor_row_index_error():
@@ -255,13 +259,18 @@ def make_field(values, level=0):
                             log_values=np.log(values), values=values)
 
 
+def at_points(fld, pts):
+    """The field at the points ``pts`` ((d,) or (npts, d)), by a stencil."""
+    return eval_field(fld, interpolation_stencil(fld.grid, pts))
+
+
 class TestEvalField:
     def test_exact_at_nodes(self):
         rng = np.random.default_rng(1)
         vals = np.exp(rng.standard_normal((5, 5)))
         fld = make_field(vals)
         pts = fld.grid.points()
-        got = eval_field(fld, pts)
+        got = at_points(fld, pts)
         assert np.array_equal(got, vals.ravel())
 
     def test_cell_center_is_corner_mean(self):
@@ -269,27 +278,27 @@ class TestEvalField:
         fld = make_field(vals)
         center = np.array([0.25, 0.25])
         expected = vals[:2, :2].mean()
-        assert eval_field(fld, center) == pytest.approx(expected, rel=1e-14)
+        assert at_points(fld, center)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_constant_field(self):
         fld = make_field(np.full((4, 4), 2.5))
         pts = np.random.default_rng(3).random((50, 2))
-        assert np.allclose(eval_field(fld, pts), 2.5, atol=1e-14)
+        assert np.allclose(at_points(fld, pts), 2.5, atol=1e-14)
 
     def test_bounds(self):
         vals = np.exp(np.random.default_rng(4).standard_normal((6, 6)))
         fld = make_field(vals)
         pts = np.random.default_rng(5).random((200, 2))
-        got = eval_field(fld, pts)
+        got = at_points(fld, pts)
         assert np.all(got >= vals.min() - 1e-14)
         assert np.all(got <= vals.max() + 1e-14)
 
     def test_outside_domain_raises(self):
         fld = make_field(np.ones((3, 3)))
         with pytest.raises(ValueError):
-            eval_field(fld, np.array([1.2, 0.5]))
+            at_points(fld, np.array([1.2, 0.5]))
         with pytest.raises(ValueError):
-            eval_field(fld, np.array([-0.1, 0.5]))
+            at_points(fld, np.array([-0.1, 0.5]))
 
     def test_gradient_bounded_by_divided_differences(self):
         # piecewise-multilinear fields inherit the nodal Lipschitz bound
@@ -304,7 +313,7 @@ class TestEvalField:
         for ax in range(2):
             step = np.zeros(2)
             step[ax] = delta
-            grad = (eval_field(fld, pts + step) - eval_field(fld, pts - step)) / (2 * delta)
+            grad = (at_points(fld, pts + step) - at_points(fld, pts - step)) / (2 * delta)
             assert np.all(np.abs(grad) <= bound * (1 + 1e-6) + 1e-12)
 
 
@@ -339,20 +348,16 @@ def grid_and_points(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(gp=grid_and_points(), seed=st.integers(0, 2**32 - 1))
-def test_stencil_matches_points_form_bitwise(gp, seed):
+def test_stencil_matches_tensor_interpolation(gp, seed):
     grid, pts = gp
     n = grid.points_per_axis
     vals = np.exp(np.random.default_rng(seed).standard_normal((n,) * grid.dim))
     fld = FieldRealization(level=0, grid=grid, log_values=np.log(vals), values=vals)
-    direct = eval_field(fld, pts)
-    assert np.array_equal(eval_field(fld, interpolation_stencil(grid, pts)), direct)
-    np.testing.assert_allclose(direct, tensor_interpolation(vals, pts),
+    got = eval_field(fld, interpolation_stencil(grid, pts))
+    np.testing.assert_allclose(got, tensor_interpolation(vals, pts),
                                rtol=1e-13, atol=0.0)
-    # a single point gives a float, equal to its one-point stencil
-    single = eval_field(fld, pts[0])
-    assert isinstance(single, float)
-    assert single == direct[0]
-    assert eval_field(fld, interpolation_stencil(grid, pts[0]))[0] == single
+    # the stencil of a single point (shape (d,)) gives the same bits
+    assert np.array_equal(eval_field(fld, interpolation_stencil(grid, pts[0])), got[:1])
 
 
 def test_stencil_checks_domain_and_grid():
@@ -365,22 +370,12 @@ def test_stencil_checks_domain_and_grid():
         eval_field(other, interpolation_stencil(grid, np.array([[0.5, 0.5]])))
 
 
-def test_precomputed_mean_bitwise():
-    emb = build_embedding(P1_KERNEL, UniformGrid(dim=2, points_per_axis=9))
-    mean = MeanField(lambda x: 0.3 * x[:, 0] - x[:, 1])
-    y = np.random.default_rng(12).standard_normal(emb.s)
-    fld = sample_field(emb, mean, y, level=2)
-    pre = sample_field(emb, mean.at(emb.grid.points()), y, level=2)
-    assert np.array_equal(pre.log_values, fld.log_values)
-    assert np.array_equal(pre.values, fld.values)
-
-
 class TestRestriction:
     def test_bitwise_at_coarse_nodes(self):
         emb = build_embedding(P1_KERNEL, UniformGrid(dim=2, points_per_axis=5))
         rng = np.random.default_rng(8)
         for _ in range(20):
-            fld = sample_field(emb, ZERO_MEAN, rng.standard_normal(emb.s), level=2)
+            fld = sample_field(emb, mean_values(emb), rng.standard_normal(emb.s), level=2)
             coarse = restrict_to_coarse(fld, UniformGrid(dim=2, points_per_axis=3))
             assert np.array_equal(coarse.log_values, fld.log_values[::2, ::2])
             assert np.array_equal(coarse.values, fld.values[::2, ::2])
@@ -393,7 +388,7 @@ class TestRestriction:
         coarse = restrict_to_coarse(fld, UniformGrid(dim=2, points_per_axis=3))
         pts = np.random.default_rng(9).random((100, 2))
         expected = 1.0 + 0.5 * pts[:, 0] + 0.25 * pts[:, 1]
-        assert np.allclose(eval_field(coarse, pts), expected, atol=1e-13)
+        assert np.allclose(at_points(coarse, pts), expected, atol=1e-13)
 
     def test_sup_bound_on_coarse_cells_1d(self):
         # brute-force scan of |fine - restricted| against the nodal range
@@ -403,7 +398,7 @@ class TestRestriction:
         coarse_grid = UniformGrid(dim=1, points_per_axis=5)
         coarse = restrict_to_coarse(fld, coarse_grid)
         xs = np.linspace(0, 1, 2001)[:, None]
-        diff = np.abs(eval_field(fld, xs) - eval_field(coarse, xs))
+        diff = np.abs(at_points(fld, xs) - at_points(coarse, xs))
         cell = np.minimum((xs[:, 0] * 4).astype(int), 3)
         for c in range(4):
             fine_nodes = vals[2 * c: 2 * c + 3]
@@ -430,7 +425,7 @@ def test_sampling_scales_near_linearly():
         for _ in range(5):
             t0 = time.perf_counter()
             for _ in range(10):
-                sample_field(emb, ZERO_MEAN, y)
+                sample_field(emb, mean_values(emb), y)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
     assert times[1] / times[0] <= 2.5

@@ -80,6 +80,19 @@ class TestConfig:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+        bad.write_text("[1]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(bad)
+
+    def test_load_config_layers(self, tmp_path):
+        # preset, then file, then seed: each later layer wins
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"problem": {"sigma2": 0.2}, "seed": 3}))
+        cfg = load_config(cfgp, preset="problem2", seed=11)
+        assert (cfg["problem"]["nu"], cfg["problem"]["sigma2"], cfg["seed"]) == (2.5, 0.2, 11)
+        cfgp.write_text(json.dumps({"problem": {"nu": 1.5}}))
+        assert load_config(cfgp, preset="problem2")["problem"]["nu"] == 1.5
+        assert load_config(seed=4).to_dict() == RunConfig.from_dict({"seed": 4}).to_dict()
 
 
 class TestFieldFunctions:
@@ -288,8 +301,13 @@ class TestMainEntry:
         ({"estimator": {"kappa": -1}}, "kappa"),
         ({"geometry": {"Ll": 3}}, "Ll"),
         ({"geometry": {"fe_offset": 8}}, "fe_offset + L"),
+        ({"objective": {"g": {"kind": "nope"}}}, "objective.g"),
+        ({"objective": {"z": {"kind": "constant", "value": "x"}}}, "objective.z"),
+        ({"objective": {"g": {"kind": "indicator_square", "lo": "a"}}}, "objective.g"),
+        ({"qmc": {"generating_vector": "/nonexistent.txt"}}, "qmc.generating_vector"),
     ], ids=["fe_offset_0", "L_string", "warmup_qmc_0", "kappa_negative",
-            "unknown_geometry_key", "finest_mesh_over_257"])
+            "unknown_geometry_key", "finest_mesh_over_257", "field_kind_unknown",
+            "field_value_string", "field_bound_string", "vector_path_missing"])
     def test_bad_value_exit_2(self, tmp_path, capsys, override, key):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(cli._deep_merge(TINY, override)))

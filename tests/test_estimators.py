@@ -55,7 +55,7 @@ class TestCoupledSample:
     def test_level0_is_plain_adjoint(self, hier2):
         y = np.zeros(hier2.embeddings[0].s)
         q = coupled_sample(hier2, 0, y)
-        fld = sample_field(hier2.embeddings[0], hier2.mean, y)
+        fld = sample_field(hier2.embeddings[0], hier2.mean_values[0], y)
         q_direct = est.adjoint_solution(hier2, 0, fld)
         assert np.array_equal(q.nodal_values, q_direct.nodal_values)
 
@@ -81,7 +81,7 @@ class TestCoupledSample:
         # same realization drives every term: the sum collapses to q_L
         rng = np.random.default_rng(5)
         y = rng.standard_normal(hier2.embeddings[1].s)
-        fld = sample_field(hier2.embeddings[1], hier2.mean, y, level=1)
+        fld = sample_field(hier2.embeddings[1], hier2.mean_values[1], y, level=1)
         q1 = est.adjoint_solution(hier2, 1, fld)
         q0 = est.adjoint_solution(
             hier2, 0, restrict_to_coarse(fld, hier2.ce_grids[0]))
@@ -90,6 +90,13 @@ class TestCoupledSample:
         total = fem.FeFunction(1, term0.nodal_values + term1 - q1.nodal_values)
         assert fem.l2_norm(hier2.fe_levels[1], total) <= 1e-8
 
+    def test_field_on_another_grid_rejected(self, hier2):
+        # level 1's stencil is built for level 1's CE grid only; a field on
+        # any other grid is an error, not a reason to build a second stencil
+        y = np.zeros(hier2.embeddings[2].s)
+        fld = sample_field(hier2.embeddings[2], hier2.mean_values[2], y, level=2)
+        with pytest.raises(ValueError, match="stencil"):
+            est.adjoint_solution(hier2, 1, fld)
 
     def test_later_samples_reuse_level_invariants(self, monkeypatch):
         # the mean on the CE grid, the grid points and the centroids'
@@ -118,9 +125,10 @@ class TestCoupledSample:
             for coupled in (True, False):
                 coupled_sample(hier, ell, draw(ell), coupled)
         assert calls == Counter()
-        # the counters are live: the points forms still pay for each call
-        fld = sample_field(hier.embeddings[0], hier.mean, draw(0))
-        circulant_field.eval_field(fld, hier.fe_levels[0].centroids)
+        # the counters are live: building the invariants again pays for them
+        grid = hier.ce_grids[0]
+        hier.mean.at(grid.points())
+        circulant_field.interpolation_stencil(grid, hier.fe_levels[0].centroids)
         assert calls == Counter(at=1, points=1, domain=1)
 
 

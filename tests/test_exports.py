@@ -15,3 +15,13 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"mlqmcgrad.{name}")
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+def test_fem_takes_only_nesting_violation_from_circulant_field():
+    # the FE layer takes coefficient arrays; mapping a field onto a mesh
+    # belongs to the hierarchy, so fem must not reach into the field module
+    from mlqmcgrad import circulant_field, fem
+    taken = sorted(name for name, val in vars(fem).items()
+                   if val is circulant_field
+                   or getattr(val, "__module__", None) == circulant_field.__name__)
+    assert taken == ["NestingViolation"]

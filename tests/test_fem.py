@@ -5,8 +5,15 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from mlqmcgrad import fem
-from mlqmcgrad.circulant_field import NestingViolation, UniformGrid, build_embedding, sample_field
-from mlqmcgrad.covariance import MaternParams, MeanField
+from mlqmcgrad.circulant_field import (
+    NestingViolation,
+    UniformGrid,
+    build_embedding,
+    eval_field,
+    interpolation_stencil,
+    sample_field,
+)
+from mlqmcgrad.covariance import MaternParams
 from mlqmcgrad.fem import FeFunction, OperatorSet, SolverDiverged
 
 
@@ -27,16 +34,34 @@ def rhs(x):
     return 2 * np.pi**2 * u_exact(x)
 
 
+def lognormal_field(kernel, n, seed):
+    """Zero-mean lognormal field on the n-point grid of the unit square."""
+    emb = build_embedding(kernel, UniformGrid(dim=2, points_per_axis=n))
+    return sample_field(emb, np.zeros(emb.grid.num_points),
+                        np.random.default_rng(seed).standard_normal(emb.s))
+
+
+def at_centroids(lev, fld):
+    """The field's per-triangle coefficient on ``lev``."""
+    return eval_field(fld, interpolation_stencil(fld.grid, lev.centroids))
+
+
+def load(lev, f, **kwargs):
+    """Load vector of the callable ``f``, evaluated at the quadrature points."""
+    return fem.assemble_load(lev, f(lev.quad_points), **kwargs)
+
+
 def solve_state(levels, ell, a, z, rtol=1e-10):
     """State solve -div(a grad u) = z at level ``ell``."""
-    return OperatorSet(levels, ell, a, rtol=rtol).solve(fem.assemble_load(levels[ell], z))
+    lev = levels[ell]
+    return OperatorSet(lev, a, rtol=rtol).solve(load(lev, z))
 
 
 def solve_adjoint(levels, ell, a, u, g):
     """Adjoint solve -div(a grad q) = u - g at level ``ell``."""
     lev = levels[ell]
     b = fem.assemble_load(lev, lev._quad_eval @ u.nodal_values - g(lev.quad_points))
-    return OperatorSet(levels, ell, a).solve(b)
+    return OperatorSet(lev, a).solve(b)
 
 
 class TestStiffness:
@@ -52,11 +77,8 @@ class TestStiffness:
 
     def test_random_coefficient_spd(self, levels):
         # dense eigenvalue oracle on the smallest mesh
-        emb = build_embedding(MaternParams(0.1, 1.0, 0.5),
-                              UniformGrid(dim=2, points_per_axis=5))
-        rng = np.random.default_rng(0)
-        fld = sample_field(emb, MeanField(0.0), rng.standard_normal(emb.s))
-        A = fem.assemble_stiffness(levels[0], fld)
+        fld = lognormal_field(MaternParams(0.1, 1.0, 0.5), 5, seed=0)
+        A = fem.assemble_stiffness(levels[0], at_centroids(levels[0], fld))
         Ai = A[levels[0].interior][:, levels[0].interior].toarray()
         assert np.abs(Ai - Ai.T).max() == 0.0
         assert np.linalg.eigvalsh(Ai).min() > 0.0
@@ -88,12 +110,11 @@ def test_fixed_pattern_matches_coo_assembly(levels, ell, seed, log_spread):
 
 class TestLoad:
     def test_zero(self, levels):
-        b = fem.assemble_load(levels[1], lambda x: np.zeros(x.shape[0]))
+        b = load(levels[1], lambda x: np.zeros(x.shape[0]))
         assert np.all(b == 0.0)
 
     def test_partition_of_unity(self, levels):
-        b = fem.assemble_load(levels[1], lambda x: np.ones(x.shape[0]),
-                              zero_boundary=False)
+        b = load(levels[1], lambda x: np.ones(x.shape[0]), zero_boundary=False)
         assert b.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_indicator_area(self, levels):
@@ -105,11 +126,11 @@ class TestLoad:
             return np.where(inside > 1e-12, 1.0,
                             np.where(inside < -1e-12, 0.0, 0.5))
 
-        b = fem.assemble_load(levels[2], g, zero_boundary=False)
+        b = load(levels[2], g, zero_boundary=False)
         assert abs(b.sum() - 0.25) < 0.02
 
     def test_dirichlet_rows_zeroed(self, levels):
-        b = fem.assemble_load(levels[1], lambda x: np.ones(x.shape[0]))
+        b = load(levels[1], lambda x: np.ones(x.shape[0]))
         assert np.all(b[levels[1].boundary_mask] == 0.0)
 
 
@@ -129,7 +150,7 @@ class TestStateSolve:
         A = fem.assemble_stiffness(levels[ell], 1.0)
         idx = levels[ell].interior
         Ai = A[idx][:, idx]
-        b = fem.assemble_load(levels[ell], rhs)[idx]
+        b = load(levels[ell], rhs)[idx]
         res = np.linalg.norm(Ai @ u.nodal_values[idx] - b) / np.linalg.norm(b)
         assert res <= 1e-10
 
@@ -148,16 +169,13 @@ class TestStateSolve:
 
     def test_energy_estimate(self, levels):
         # a_min ||grad u||^2 <= int z u for the assembled system
-        emb = build_embedding(MaternParams(0.1, 1.0, 0.5),
-                              UniformGrid(dim=2, points_per_axis=5))
-        fld = sample_field(emb, MeanField(0.0),
-                           np.random.default_rng(5).standard_normal(emb.s))
+        fld = lognormal_field(MaternParams(0.1, 1.0, 0.5), 5, seed=5)
         ell = 2
-        u = solve_state(levels, ell, fld, rhs)
+        u = solve_state(levels, ell, at_centroids(levels[ell], fld), rhs)
         a_min = fld.values.min()
         lap = fem.assemble_stiffness(levels[ell], 1.0)
         grad_sq = u.nodal_values @ (lap @ u.nodal_values)
-        work = fem.assemble_load(levels[ell], rhs) @ u.nodal_values
+        work = load(levels[ell], rhs) @ u.nodal_values
         assert a_min * grad_sq <= work * (1 + 1e-12)
 
     def test_solver_diverged_direct(self, levels):
@@ -180,22 +198,20 @@ class TestStateSolve:
         # a negative coefficient makes A_int negative definite: dpbtrf
         # reports a non-positive pivot
         with pytest.raises(SolverDiverged, match="not positive definite"):
-            OperatorSet(levels, 2, -1.0)
+            OperatorSet(levels[2], -1.0)
 
     @pytest.mark.parametrize("ell", range(6))
     def test_matches_sparse_direct_solve(self, levels, ell):
         # reference: scipy's sparse LU on the same interior block, for a
         # lognormal coefficient with unit log-variance
         rtol = 1e-10
-        emb = build_embedding(MaternParams(1.0, 0.1, 0.5),
-                              UniformGrid(dim=2, points_per_axis=17))
-        fld = sample_field(emb, MeanField(0.0),
-                           np.random.default_rng(6 + ell).standard_normal(emb.s))
         lev = levels[ell]
-        ops = OperatorSet(levels, ell, fld, rtol=rtol)
-        b = fem.assemble_load(lev, rhs)
+        a_elem = at_centroids(lev, lognormal_field(MaternParams(1.0, 0.1, 0.5), 17,
+                                                   seed=6 + ell))
+        ops = OperatorSet(lev, a_elem, rtol=rtol)
+        b = load(lev, rhs)
         x = ops.solve(b).nodal_values[lev.interior]
-        A = fem.assemble_stiffness(lev, fld)
+        A = fem.assemble_stiffness(lev, a_elem)
         x_ref = spla.spsolve(A[lev.interior][:, lev.interior].tocsc(), b[lev.interior])
         assert np.linalg.norm(x - x_ref) <= rtol * np.linalg.norm(x_ref)
 
