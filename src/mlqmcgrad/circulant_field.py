@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -95,20 +97,47 @@ class CirculantEmbedding:
     ``importance_order[r]`` is the internal coordinate driven by input
     coordinate r; inputs are ranked by descending eigenvalue, ties broken
     by ascending frequency index (cosine before sine).
+
+    Only what sampling reads stays resident: per input coordinate, its
+    slot in the half spectrum and its amplitude (2 * 8 s bytes).
+    ``eigenvalues``, ``importance_order`` and ``_coord_eigs`` are
+    computed from ``kernel`` on first access and then cached; they are
+    bitwise the values the build used.  ``dct_screens`` and
+    ``fftn_calls`` count the build's PSD screens and full spectra.
     """
 
     grid: UniformGrid
     ext_per_axis: int
-    eigenvalues: np.ndarray          # per frequency, extended grid shape
     s: int
-    importance_order: np.ndarray     # shape (s,), permutation of range(s)
     clamped: int                     # eigenvalues clamped to zero
-    # internal coordinate bookkeeping (canonical order, see _spectrum_map)
-    _coord_eigs: np.ndarray = field(repr=False)   # eigenvalue per coordinate
+    kernel: object = field(repr=False)   # as passed to build_embedding
     # per input coordinate (importance order): slot in the float64 view of
     # the complex half spectrum, and the amplitude that scales the input
     _spec_pos: np.ndarray = field(repr=False)
     _spec_amp: np.ndarray = field(repr=False)
+    dct_screens: int
+    fftn_calls: int
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Per frequency, extended grid shape, negatives clamped to zero."""
+        col = _circulant_column(self.kernel, self.grid, self.ext_per_axis)
+        return np.maximum(np.fft.fftn(col).real, 0.0)
+
+    @cached_property
+    def _canonical(self):
+        return _canonical_coordinates(self.eigenvalues.ravel(),
+                                      self.ext_per_axis, self.grid.dim)
+
+    @cached_property
+    def importance_order(self) -> np.ndarray:
+        """Shape (s,), a permutation of range(s)."""
+        return self._canonical[1]
+
+    @cached_property
+    def _coord_eigs(self) -> np.ndarray:
+        """Eigenvalue per canonical coordinate (see _canonical_coordinates)."""
+        return self._canonical[0]
 
 
 @dataclass
@@ -121,21 +150,64 @@ class FieldRealization:
     values: np.ndarray       # exp(log_values), same shape
 
 
-def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
-    """Enumerate the s real coordinates of the factorization.
+def _representatives(ext: int, dim: int):
+    """One flat frequency per self-conjugate frequency or pair {k, -k}:
+    the smaller flat index, carrying 1 or 2 (cosine, sine) adjacent
+    coordinates.  Returns the representatives, their conjugates and
+    their coordinate counts, in ascending frequency index."""
+    # flat index of the conjugate frequency -k (mod ext), axis by axis
+    neg = (-np.arange(ext)) % ext
+    conj = np.zeros((1,) * dim, dtype=np.int64)
+    for ax in range(dim):
+        shape = [1] * dim
+        shape[ax] = ext
+        conj = conj + (neg * ext ** (dim - 1 - ax)).reshape(shape)
+    conj = conj.ravel()
+    rep = np.flatnonzero(conj >= np.arange(conj.size))
+    rep_conj = conj[rep]
+    return rep, rep_conj, 1 + (rep_conj != rep)
+
+
+def _ranking(rep_eigs: np.ndarray, count: np.ndarray):
+    """Rank representatives by descending eigenvalue, stably.
+
+    Expanding them ranks coordinates stably too: a representative's
+    coordinates share one eigenvalue.  Returns the order, the ranked
+    counts and, per ranked representative, the input index past its
+    coordinates.
+    """
+    order = np.argsort(-rep_eigs, kind="stable")
+    count = count[order]
+    return order, count, np.cumsum(count)
+
+
+def _canonical_coordinates(eigs_flat: np.ndarray, ext: int, dim: int):
+    """The eigenvalue per canonical coordinate and the importance order.
 
     Canonical order: ascending frequency index, one coordinate for a
     self-conjugate frequency (-k == k mod ext on every axis), a cosine
     then a sine coordinate for the smaller flat index of each pair
     {k, -k}, none for its partner.  Input coordinates are ranked by
     descending eigenvalue, ties broken by canonical index.
+    """
+    rep, _, count = _representatives(ext, dim)
+    rep_eigs = eigs_flat[rep]
+    order, ranked, ends = _ranking(rep_eigs, count)
+    first = np.cumsum(count) - count
+    importance = np.repeat(first[order], ranked)
+    importance[ends[ranked == 2] - 1] += 1          # sine coordinates
+    return np.repeat(rep_eigs, count), importance
 
-    Returns the canonical per-coordinate eigenvalues, the importance
-    order, and per input coordinate its slot in the float64 view of the
-    half spectrum with the amplitude that scales it.  The half spectrum
-    keeps ext//2 + 1 bins of the last frequency axis and stores the axes
-    in reverse order, shape (ext//2+1,) + (ext,)*(dim-1), so the inverse
-    FFT over the first frequency axis runs along contiguous memory.
+
+def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
+    """Per input coordinate, its half-spectrum slot and amplitude.
+
+    Inputs follow the importance order of ``_canonical_coordinates``.
+    Returns each input's slot in the float64 view of the half spectrum
+    and the amplitude that scales it.  The half spectrum keeps ext//2 + 1
+    bins of the last frequency axis and stores the axes in reverse
+    order, shape (ext//2+1,) + (ext,)*(dim-1), so the inverse FFT over
+    the first frequency axis runs along contiguous memory.
 
     A pair lands on whichever of k, -k lies in the half spectrum; from -k
     its sine amplitude changes sign.  ``irfft`` counts a bin strictly
@@ -146,23 +218,9 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     sqrt(s) undoes the 1/s of the inverse transforms.
     """
     half = ext // 2 + 1
-    # flat index of the conjugate frequency -k (mod ext), axis by axis
-    neg = (-np.arange(ext)) % ext
-    conj = np.zeros((1,) * dim, dtype=np.int64)
-    for ax in range(dim):
-        shape = [1] * dim
-        shape[ax] = ext
-        conj = conj + (neg * ext ** (dim - 1 - ax)).reshape(shape)
-    conj = conj.ravel()
-    # one representative per self-conjugate frequency or pair: the smaller
-    # flat index, carrying 1 or 2 (cosine, sine) adjacent coordinates
-    rep = np.flatnonzero(conj >= np.arange(conj.size))
-    rep_conj = conj[rep]
-    del conj
-    count = 1 + (rep_conj != rep)
+    s = ext**dim
+    rep, rep_conj, count = _representatives(ext, dim)
     rep_eigs = eigs_flat[rep]
-    coord_eigs = np.repeat(rep_eigs, count)
-    s = coord_eigs.size
 
     # half-spectrum slot: k itself, or -k when k_last is past ext/2
     lead, last = np.divmod(rep, ext)
@@ -179,20 +237,57 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     amp_rep = np.sqrt(s * weight * rep_eigs)
     del lead, last, weight
 
-    # ranking representatives stably and expanding them ranks coordinates
-    # stably: a representative's coordinates share one eigenvalue
-    order = np.argsort(-rep_eigs, kind="stable")
-    first = np.cumsum(count) - count
-    count = count[order]
-    ends = np.cumsum(count)              # past each representative's inputs
+    order, count, ends = _ranking(rep_eigs, count)
     sine = ends[count == 2] - 1          # input index of each sine coordinate
-    importance = np.repeat(first[order], count)
-    importance[sine] += 1
     amp = np.repeat(amp_rep[order], count)
     amp[ends[mirrored[order]] - 1] *= -1.0     # mirrored reps are pairs
     pos = np.repeat(2 * slot[order], count)
     pos[sine] += 1
-    return coord_eigs, importance, pos, amp
+    return pos, amp
+
+
+def _lag_block(kernel, grid: UniformGrid, m: int,
+               corner: Optional[np.ndarray] = None) -> np.ndarray:
+    """The kernel on the lag block [0, m)^d (lags in units of the spacing).
+
+    Values are computed entry by entry, so the block of a smaller
+    extension is bitwise the corner of a larger one: entries inside
+    ``corner`` are copied from it, not evaluated again.  In 2-D only lags
+    i <= j are evaluated and mirrored, since a^2 + b^2 == b^2 + a^2
+    bitwise; in 3-D reordering the three squares changes the rounding.
+    """
+    dim = grid.dim
+    lag = np.arange(m) * grid.spacing
+    new = np.ones((m,) * dim, dtype=bool)
+    block = np.empty((m,) * dim)
+    if corner is not None:
+        inner = (slice(corner.shape[0]),) * dim
+        new[inner] = False
+        block[inner] = corner
+    if dim == 2:
+        new &= np.tri(m, dtype=bool).T             # i <= j
+    sel = np.nonzero(new)
+    if dim == 1:
+        dist = lag[sel[0]]
+    else:
+        dist = np.sqrt(sum(lag[i] ** 2 for i in sel))
+    if callable(kernel):
+        block[sel] = np.asarray(kernel(dist), dtype=float)
+    else:
+        block[sel] = matern_cov(kernel, dist)
+    if dim == 2:
+        lower = np.tril_indices(m, -1)
+        block[lower] = block.T[lower]
+    return block
+
+
+def _mirror(block: np.ndarray, ext: int) -> np.ndarray:
+    """The circulant column of a lag block: lag l reads min(l, ext - l)."""
+    fold = np.arange(ext)
+    fold = np.minimum(fold, ext - fold)
+    for ax in range(block.ndim):
+        block = block.take(fold, axis=ax)
+    return block
 
 
 def _circulant_column(kernel, grid: UniformGrid, ext: int) -> np.ndarray:
@@ -201,22 +296,35 @@ def _circulant_column(kernel, grid: UniformGrid, ext: int) -> np.ndarray:
     The folded lag min(l, ext - l) takes ext//2 + 1 values per axis, so
     the kernel is evaluated on that corner block and mirrored out.
     """
-    h = grid.spacing
-    lag = np.arange(ext // 2 + 1) * h
-    if grid.dim == 1:
-        dist = lag
-    else:
-        mesh = np.meshgrid(*([lag] * grid.dim), indexing="ij")
-        dist = np.sqrt(sum(m**2 for m in mesh))
-    if callable(kernel):
-        block = np.asarray(kernel(dist), dtype=float)
-    else:
-        block = matern_cov(kernel, dist)
-    fold = np.arange(ext)
-    fold = np.minimum(fold, ext - fold)
-    for ax in range(grid.dim):
-        block = block.take(fold, axis=ax)
-    return block
+    return _mirror(_lag_block(kernel, grid, ext // 2 + 1), ext)
+
+
+# A screened eigenvalue differs from the FFT's by rounding, a small multiple
+# of 1e-16 times the column's l1 norm (below 3e-16 on the preset grids).
+_SCREEN_MARGIN = 1e-12
+
+
+def _screen_rejects(block: np.ndarray, tol: float) -> bool:
+    """Whether the extension of ``block`` is surely not PSD up to ``tol``.
+
+    The DCT-I of the lag block gives the eigenvalues of its even
+    circulant extension, at frequencies [0, m)^d; the others mirror
+    them.  Per axis it is numpy's ``hfft`` of length 2(m - 1), whose
+    first m outputs are kept (scipy's ``dctn`` would add scipy.fft to
+    every start-up).  It rejects only where the FFT's eigenvalues, each
+    within the margin of these, would reject too; NaN never rejects, so
+    the FFT decides.
+    """
+    m = block.shape[0]
+    mult = np.full(m, 2.0)                   # copies of a lag in the column
+    mult[[0, -1]] = 1.0
+    eigs, l1 = block, np.abs(block)
+    for ax in range(block.ndim):
+        eigs = np.fft.hfft(eigs, n=2 * (m - 1), axis=ax)
+        eigs = eigs[(slice(None),) * ax + (slice(m),)]
+        l1 = mult @ l1                       # sums out one axis
+    margin = _SCREEN_MARGIN * l1
+    return bool(eigs.min() + margin < -tol * (eigs.max() + margin))
 
 
 def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
@@ -224,12 +332,16 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     """Build the circulant embedding of the covariance on ``grid``.
 
     ``kernel`` is MaternParams, or any callable mapping an array of
-    distances to covariance values (homogeneous kernels only).
+    distances to covariance values elementwise (homogeneous kernels
+    only).
 
     Starts from the minimal extension 2*(n-1) per axis and doubles the
     extension until the spectrum is nonnegative up to ``tol`` (relative
     to the largest eigenvalue).  Eigenvalues in [-tol*max, 0) are clamped
-    to zero; anything more negative triggers another doubling.
+    to zero; anything more negative triggers another doubling.  The
+    kernel is evaluated once per lag; each attempt is screened by a
+    DCT-I of the lag block, and the full FFT runs only where the screen
+    cannot reject, so every outcome is the one the FFT gives.
 
     Raises PaddingExhausted after ``max_attempts`` doublings.
     """
@@ -237,26 +349,22 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
         raise ValueError("tol must be nonnegative")
     n = grid.points_per_axis
     ext = 2 * (n - 1)
+    block = None
+    screens = ffts = 0
     for _ in range(max_attempts + 1):
-        eigs = np.fft.fftn(_circulant_column(kernel, grid, ext)).real
-        max_eig = eigs.max()
-        min_eig = eigs.min()
-        if min_eig >= -tol * max_eig:
-            clamped = int(np.count_nonzero(eigs < 0))
-            eigs = np.maximum(eigs, 0.0)
-            coord_eigs, importance, pos, amp = _spectrum_map(
-                eigs.ravel(), ext, grid.dim)
-            return CirculantEmbedding(
-                grid=grid,
-                ext_per_axis=ext,
-                eigenvalues=eigs,
-                s=coord_eigs.size,
-                importance_order=importance,
-                clamped=clamped,
-                _coord_eigs=coord_eigs,
-                _spec_pos=pos,
-                _spec_amp=amp,
-            )
+        block = _lag_block(kernel, grid, ext // 2 + 1, block)
+        screens += 1
+        if not _screen_rejects(block, tol):
+            ffts += 1
+            eigs = np.fft.fftn(_mirror(block, ext)).real
+            if eigs.min() >= -tol * eigs.max():
+                clamped = int(np.count_nonzero(eigs < 0))
+                eigs = np.maximum(eigs, 0.0)      # frees the complex spectrum
+                pos, amp = _spectrum_map(eigs.ravel(), ext, grid.dim)
+                return CirculantEmbedding(
+                    grid=grid, ext_per_axis=ext, s=ext**grid.dim,
+                    clamped=clamped, kernel=kernel, _spec_pos=pos,
+                    _spec_amp=amp, dct_screens=screens, fftn_calls=ffts)
         ext *= 2
     raise PaddingExhausted(
         f"no positive semidefinite extension within {max_attempts} doublings "

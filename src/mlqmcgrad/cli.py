@@ -345,19 +345,17 @@ def _write_csv(path: Path, header: list, rows: list):
 
 def _write_gradient(outdir: Path, hier: LevelHierarchy,
                     grad: estimators.GradientEstimate):
+    """gradient.txt and gradient.csv, each value as its shortest round-trip
+    ``repr``; the csv keeps ``csv.writer``'s \\r\\n line ends."""
     lev = hier.fe_levels[grad.gradient.level]
-
-    def write_txt(fh):
-        fh.write("# gradient field dump: nodal values, row-major\n")
-        fh.write(f"d 2\nnodes_per_axis {lev.nodes_per_axis}\n"
-                 f"level {grad.gradient.level}\n")
-        for v in grad.gradient.nodal_values:
-            fh.write(f"{float(v)!r}\n")
-
-    _atomic_write(outdir / "gradient.txt", write_txt)
-    rows = [(repr(float(x)), repr(float(y)), repr(float(v))) for (x, y), v in
-            zip(lev.nodes, grad.gradient.nodal_values)]
-    _write_csv(outdir / "gradient.csv", ["x1", "x2", "value"], rows)
+    values = list(map(repr, grad.gradient.nodal_values.tolist()))
+    x1, x2 = (map(repr, col) for col in lev.nodes.T.tolist())
+    txt = ("# gradient field dump: nodal values, row-major\n"
+           f"d 2\nnodes_per_axis {lev.nodes_per_axis}\n"
+           f"level {grad.gradient.level}\n" + "\n".join(values) + "\n")
+    _atomic_write(outdir / "gradient.txt", lambda fh: fh.write(txt))
+    rows = "".join(f"{x},{y},{v}\r\n" for x, y, v in zip(x1, x2, values))
+    _atomic_write(outdir / "gradient.csv", lambda fh: fh.write("x1,x2,value\r\n" + rows))
 
 
 @dataclass
@@ -384,6 +382,10 @@ def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, manifest: dict,
     paths["manifest"] = outdir / "manifest.json"
     ledger = estimators.cost_ledger(hier, allocation, coupled)
     ledger["openblas_num_threads"] = OPENBLAS_NUM_THREADS
+    ledger["embeddings"] = [
+        {"level": ell, "ext": e.ext_per_axis, "s": e.s, "clamped": e.clamped,
+         "dct_screens": e.dct_screens, "fftn_calls": e.fftn_calls}
+        for ell, e in enumerate(hier.embeddings)]
     _write_json(outdir / "timing.json", ledger)
     paths["timing"] = outdir / "timing.json"
     rows = [(r["level"], float(r["ce_seconds_mean"]), float(r["fe_seconds_mean"]),

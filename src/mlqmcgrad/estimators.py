@@ -204,6 +204,15 @@ def coupled_sample(hier: LevelHierarchy, ell: int, y: np.ndarray,
 # -- level accumulators --------------------------------------------------------
 
 
+def _model_cost(hier: LevelHierarchy, level: int, coupled: bool) -> float:
+    """Model cost of one sample in plain finest-level samples; a
+    correction (``coupled`` above level 0) adds its coarse solve."""
+    c = hier.cost_model[level]
+    if coupled and level > 0:
+        c = c + hier.cost_model[level - 1]
+    return float(c)
+
+
 class _LevelAccumulator:
     """What the allocation reads from one level: N, V, the per-sample
     model cost C and the total cost R * N * C.
@@ -225,10 +234,7 @@ class _LevelAccumulator:
 
     @property
     def C(self) -> float:
-        c = self.hier.cost_model[self.level]
-        if self.coupled and self.level > 0:
-            c = c + self.hier.cost_model[self.level - 1]
-        return float(c)
+        return _model_cost(self.hier, self.level, self.coupled)
 
     @property
     def cost(self) -> float:
@@ -535,8 +541,9 @@ def cost_ledger(hier: LevelHierarchy,
     otherwise), then a row for each level where the other kind was
     sampled too, as ``cost-curve`` does.  ``allocation`` rows are
     (level, R, N); see ``measured_cost``.  The model cost prices each
-    row at its own level's h_l^-kappa, in plain finest-level samples,
-    without a correction's coarse term.  ``kappa_measured`` is the
+    row as the allocation does, in plain finest-level samples with a
+    correction's coarse term, so it equals the manifest's
+    ``cost_model_normalized``.  ``kappa_measured`` is the
     measured counterpart of the model's kappa: minus the log-log slope of
     the run kind's median sample time against h, positive when cost
     grows as the mesh refines.
@@ -560,8 +567,8 @@ def cost_ledger(hier: LevelHierarchy,
     out = {"levels": rows}
     if allocation is not None:
         out["cost_measured_normalized"] = measured_cost(hier, allocation, coupled)
-        out["cost_model_normalized"] = sum(  # cost_model already normalized
-            R * N * hier.cost_model[level] for level, R, N in allocation)
+        out["cost_model_normalized"] = sum(
+            R * N * _model_cost(hier, level, coupled) for level, R, N in allocation)
     hs = np.array([lev.h for lev in hier.fe_levels])
     valid = np.isfinite(med)
     if valid.sum() >= 2:

@@ -9,6 +9,7 @@ from mlqmcgrad.circulant_field import (
     FieldRealization,
     _circulant_column,
     NestingViolation,
+    PaddingExhausted,
     UniformGrid,
     assign_inputs,
     build_embedding,
@@ -138,6 +139,8 @@ def reference_column(kernel, grid, ext):
     else:
         mesh = np.meshgrid(*([lag] * grid.dim), indexing="ij")
         dist = np.sqrt(sum(m**2 for m in mesh))
+    if callable(kernel):
+        return np.asarray(kernel(dist), dtype=float)
     return matern_cov(kernel, dist)
 
 
@@ -203,20 +206,93 @@ def test_column_bitwise_equals_all_lag_evaluation(case, nu, doublings):
     assert col.tobytes() == reference_column(kernel, grid, ext).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=grid_cases, nu=st.sampled_from([0.5, 1.5, 2.5]))
-def test_embedding_spectrum_and_order_bitwise(case, nu):
+def reference_search(kernel, grid, tol, max_attempts):
+    """The doubling search with the full FFT at every attempt: the
+    accepted extension, its clamped count and clamped spectrum, or None
+    when the attempts run out."""
+    ext = 2 * (grid.points_per_axis - 1)
+    for _ in range(max_attempts + 1):
+        eigs = np.fft.fftn(reference_column(kernel, grid, ext)).real
+        if eigs.min() >= -tol * eigs.max():
+            return ext, int(np.count_nonzero(eigs < 0)), np.maximum(eigs, 0.0)
+        ext *= 2
+    return None
+
+
+def reference_spectrum_map(eigs, order):
+    """Per input coordinate (canonical coordinate ``order[r]``), its slot
+    in the float64 view of the half spectrum and its signed amplitude."""
+    ext, dim, s = eigs.shape[0], eigs.ndim, eigs.size
+    coord_eigs, (self_f, own_f, _), (c_self, c_cos, c_sin) = reference_coordinates(eigs)
+    freq = np.empty(s, dtype=np.int64)
+    freq[c_self], freq[c_cos], freq[c_sin] = self_f, own_f, own_f
+    sine = np.zeros(s, dtype=bool)
+    sine[c_sin] = True
+    k = np.array(np.unravel_index(freq, eigs.shape))
+    # a frequency past the stored half of the last axis is read at -k
+    mirrored = k[-1] > ext // 2
+    k[:, mirrored] = (-k[:, mirrored]) % ext
+    slot = np.ravel_multi_index(tuple(k[::-1]), (ext // 2 + 1,) + (ext,) * (dim - 1))
+    weight = np.where((k[-1] == 0) | (k[-1] == ext // 2), 2.0, 0.5)
+    weight[c_self] = 1.0
+    amp = np.sqrt(s * weight * coord_eigs)
+    amp[mirrored & sine] *= -1.0
+    return (2 * slot + sine)[order], amp[order]
+
+
+CALLABLE_KERNELS = {
+    "exponential": lambda d: 0.1 * np.exp(-d / 0.3),
+    "gaussian": lambda d: 0.1 * np.exp(-(d / 0.3) ** 2),
+    "damped_cosine": lambda d: 0.1 * np.exp(-d / 0.3) * np.cos(4.0 * d),
+    # in 1-D its column is one Fourier mode at every extension, so most
+    # eigenvalues are zero up to rounding: clamping, and screens that
+    # cannot reject, so the FFT decides
+    "cosine": lambda d: 0.1 * np.cos(np.pi * d),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_cases,
+       kernel=st.one_of(st.sampled_from([0.5, 1.5, 2.5]),
+                        st.sampled_from(sorted(CALLABLE_KERNELS))),
+       tol=st.sampled_from([0.0, 1e-13, 1e-8]), attempts=st.integers(0, 12))
+def test_embedding_spectrum_and_order_bitwise(case, kernel, tol, attempts):
     dim, n, lam = case
-    kernel = MaternParams(sigma2=0.1, lambda_c=lam, nu=nu)
-    emb = build_embedding(kernel, UniformGrid(dim=dim, points_per_axis=n))
-    col = reference_column(kernel, emb.grid, emb.ext_per_axis)
-    eigs = np.maximum(np.fft.fftn(col).real, 0.0)
-    assert emb.eigenvalues.tobytes() == eigs.tobytes()
+    if isinstance(kernel, str):
+        kernel = CALLABLE_KERNELS[kernel]
+    else:
+        kernel = MaternParams(sigma2=0.1, lambda_c=lam, nu=kernel)
+    grid = UniformGrid(dim=dim, points_per_axis=n)
+    # keep the reference's largest spectrum below 2^16 entries
+    while (2 * (n - 1) * 2**attempts) ** dim > 2**16:
+        attempts -= 1
+    ref = reference_search(kernel, grid, tol, attempts)
+    if ref is None:
+        with pytest.raises(PaddingExhausted):
+            build_embedding(kernel, grid, tol=tol, max_attempts=attempts)
+        return
+    ext, clamped, eigs = ref
+    emb = build_embedding(kernel, grid, tol=tol, max_attempts=attempts)
+    assert (emb.ext_per_axis, emb.clamped, emb.s) == (ext, clamped, ext**dim)
+    assert emb.fftn_calls >= 1 and emb.dct_screens == (ext // (2 * (n - 1))).bit_length()
     coord_eigs = reference_coordinates(eigs)[0]
-    assert emb.s == coord_eigs.size == emb.ext_per_axis**dim
+    order = np.argsort(-coord_eigs, kind="stable")
+    pos, amp = reference_spectrum_map(eigs, order)
+    assert emb._spec_pos.dtype == np.intp and np.array_equal(emb._spec_pos, pos)
+    assert emb._spec_amp.tobytes() == amp.tobytes()
+    # the cached properties are computed again from the kernel
+    assert emb.eigenvalues.tobytes() == eigs.tobytes()
     assert emb._coord_eigs.tobytes() == coord_eigs.tobytes()
-    assert np.array_equal(emb.importance_order,
-                          np.argsort(-coord_eigs, kind="stable"))
+    assert np.array_equal(emb.importance_order, order)
+
+
+def test_embedding_keeps_only_the_sampling_map():
+    emb = build_embedding(MaternParams(0.1, 1.0, 2.5), UniformGrid(dim=2, points_per_axis=9))
+    resident = {k for k, v in vars(emb).items() if isinstance(v, np.ndarray)}
+    assert resident == {"_spec_pos", "_spec_amp"}
+    assert (emb.ext_per_axis, emb.dct_screens, emb.fftn_calls) == (128, 4, 1)
+    order = emb.importance_order
+    assert emb.importance_order is order          # cached after first access
 
 
 @settings(max_examples=40, deadline=None)

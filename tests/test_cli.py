@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mlqmcgrad
 from mlqmcgrad import cli
@@ -183,6 +188,68 @@ class TestRunExperiment:
         art, out, cfg = run_artifacts
         m = json.loads((out / "manifest.json").read_text())
         assert m["seed"] == cfg["seed"]
+
+
+def reference_write_gradient(outdir, lev, grad):
+    """The per-value gradient writer: f-strings for the text dump,
+    ``csv.writer`` over repr strings for the table."""
+    with open(outdir / "gradient.txt", "w", newline="") as fh:
+        fh.write("# gradient field dump: nodal values, row-major\n")
+        fh.write(f"d 2\nnodes_per_axis {lev.nodes_per_axis}\n"
+                 f"level {grad.gradient.level}\n")
+        for v in grad.gradient.nodal_values:
+            fh.write(f"{float(v)!r}\n")
+    rows = [(repr(float(x)), repr(float(y)), repr(float(v))) for (x, y), v in
+            zip(lev.nodes, grad.gradient.nodal_values)]
+    with open(outdir / "gradient.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "value"])
+        writer.writerows(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_gradient_files_match_per_value_writer(n, data):
+    values = st.floats(allow_nan=True, allow_infinity=True)
+    arrays = [np.array(data.draw(st.lists(values, min_size=k, max_size=k)))
+              for k in (n * n, 2 * n * n)]
+    lev = SimpleNamespace(nodes_per_axis=n, nodes=arrays[1].reshape(n * n, 2))
+    grad = SimpleNamespace(gradient=SimpleNamespace(level=3, nodal_values=arrays[0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp, "new"), Path(tmp, "ref")
+        ref.mkdir()
+        cli._write_gradient(new, SimpleNamespace(fe_levels={3: lev}), grad)
+        reference_write_gradient(ref, lev, grad)
+        for name in ("gradient.txt", "gradient.csv"):
+            assert (new / name).read_bytes() == (ref / name).read_bytes()
+
+
+class TestTimingLedger:
+    @pytest.mark.parametrize("method", ["mlmc", "mlqmc"])
+    def test_model_cost_matches_manifest(self, tmp_path, method):
+        cfg = RunConfig.from_dict(cli._deep_merge(
+            TINY, {"estimator": {"method": method}}))
+        cli.run_experiment(cfg, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        timing = json.loads((tmp_path / "timing.json").read_text())
+        assert timing["cost_model_normalized"] == \
+            manifest["final"]["cost_model_normalized"]
+
+    def test_embeddings_recorded_outside_manifest(self, tmp_path):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"geometry": {"L": 3},
+                                    "estimator": {"eps": [1e-2]}, "seed": 4}))
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "problem2", "--config", str(cfgp),
+                     "--out", str(out)]) == 0
+        rows = json.loads((out / "timing.json").read_text())["embeddings"]
+        assert [r["ext"] for r in rows] == [2, 16, 64, 128]
+        assert [r["s"] for r in rows] == [4, 256, 4096, 16384]
+        assert [r["clamped"] for r in rows] == [0] * 4
+        # one screen per padding attempt, one full spectrum per accepted one
+        assert [r["dct_screens"] for r in rows] == [1, 3, 4, 4]
+        assert [r["fftn_calls"] for r in rows] == [1] * 4
+        assert "embeddings" not in (out / "manifest.json").read_text()
 
 
 class TestDeterminism:
@@ -380,6 +447,81 @@ class TestMainEntry:
         monkeypatch.setenv("MLQMCGRAD_OUT", str(envdir))
         assert main(["run", "--config", str(cfgp)]) == 0
         assert (envdir / "manifest.json").exists()
+
+
+def _not_int(lo):
+    return st.one_of(st.integers(max_value=lo - 1), st.floats(), st.booleans(),
+                     st.text(max_size=3), st.none(), st.lists(st.integers(), max_size=2))
+
+
+def _not_positive():
+    return st.one_of(st.floats(max_value=0.0), st.just(float("nan")), st.booleans(),
+                     st.text(max_size=3), st.none(), st.integers(max_value=0))
+
+
+# every key the config validates, with values it must reject
+BAD_VALUES = {
+    ("geometry", "L"): st.one_of(_not_int(0), st.integers(cli.MAX_LEVELS + 1, 50)),
+    ("geometry", "fe_offset"): st.one_of(
+        _not_int(1), st.integers(cli.MAX_FE_EXPONENT, 50)),   # + L = 1 passes 8
+    ("geometry", "ce_offset"): _not_int(0),
+    ("geometry", "ce_tol"): st.one_of(st.floats(max_value=-1e-300), st.just(float("nan")),
+                                      st.text(max_size=3), st.none(), st.booleans()),
+    ("qmc", "R"): _not_int(2),
+    ("qmc", "n_min"): st.one_of(_not_int(1), st.integers(2**20 + 1, 2**40)),
+    ("qmc", "n_max"): st.one_of(_not_int(1), st.integers(1, 7)),   # below n_min = 8
+    ("qmc", "generating_vector"): st.one_of(
+        st.integers(), st.booleans(), st.lists(st.text(max_size=2), max_size=2),
+        st.text("abcxyz", min_size=1, max_size=8).map(lambda t: f"/nonexistent/{t}.txt")),
+    ("estimator", "warmup_qmc"): _not_int(1),
+    ("estimator", "warmup_mc"): st.one_of(st.integers(max_value=1), st.floats(),
+                                          st.text(max_size=3), st.booleans()),
+    ("estimator", "kappa"): _not_positive(),
+    ("estimator", "cost_cap"): _not_positive(),
+    ("estimator", "method"): st.one_of(
+        st.text(max_size=6).filter(lambda t: t not in cli.estimators.METHODS),
+        st.integers(), st.none()),
+    ("estimator", "eps"): st.one_of(
+        st.just([]), st.floats(), st.text(max_size=3),
+        st.lists(st.floats(max_value=0.0), min_size=1, max_size=3),
+        st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=4).filter(
+            lambda e: any(a <= b for a, b in zip(e, e[1:])))),
+    ("problem", "sigma2"): _not_positive(),
+    ("problem", "lambda_c"): _not_positive(),
+    ("problem", "nu"): _not_positive(),
+    ("problem", "mean"): st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                                   st.text(max_size=3), st.none(), st.booleans()),
+    ("objective", "alpha"): _not_positive(),
+    ("objective", "g"): st.one_of(st.integers(), st.text(max_size=3), st.just({"kind": None}),
+                                  st.just({"kind": "nope"}),
+                                  st.just({"kind": "constant", "value": "x"})),
+    ("objective", "z"): st.one_of(st.none(), st.just({"kind": "indicator_square",
+                                                      "hi": "y"})),
+    ("variance_study", "n_exp_min"): st.one_of(_not_int(0), st.integers(10, 40)),
+    ("variance_study", "n_exp_max"): _not_int(0),
+    ("variance_study", "fit_n_exp_min"): _not_int(0),
+    ("seed", None): _not_int(0),
+    ("output", None): st.one_of(st.integers(), st.none(), st.lists(st.integers(), max_size=2)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), key=st.sampled_from(sorted(BAD_VALUES, key=str)))
+def test_any_bad_config_value_exits_2(data, key):
+    sec, name = key
+    value = data.draw(BAD_VALUES[key], label=f"{sec}.{name}")
+    override = {sec: value} if name is None else {sec: {name: value}}
+    raw = cli._deep_merge(dict(TINY, geometry={"L": 1}), override)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp, out = Path(tmp, "c.json"), Path(tmp, "o")
+        cfgp.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 2
+        err = err.getvalue()
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert (name or sec) in err
+        assert not out.exists()
 
 
 def test_cli_import_leaves_out_sparse_linalg():

@@ -379,8 +379,10 @@ class TestCostLedger:
         meds = [row["total_seconds_median"] for row in ledger["levels"]]
         assert all(np.isfinite(m) for m in meds)
         assert ledger["cost_measured_normalized"] > 0
+        # a correction's model cost includes its coarse term
+        cm = hier2.cost_model
         assert ledger["cost_model_normalized"] == sum(
-            4 * hier2.cost_model[ell] for ell in range(3))
+            4 * (cm[ell] + (cm[ell - 1] if ell else 0.0)) for ell in range(3))
         assert ledger["kappa_measured"] > 0
 
     def test_corrections_and_plain_samples_kept_apart(self):
