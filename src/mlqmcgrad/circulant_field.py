@@ -21,6 +21,7 @@ only the rows covering the physical grid, and ``irfft`` on the last axis.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,6 +45,11 @@ __all__ = [
     "eval_field",
     "restrict_to_coarse",
 ]
+
+
+# length of the blocks in which a sample's spectrum is filled, so that the
+# fill's temporaries stay small next to the s-long inputs
+_BLOCK = 2**16
 
 
 class PaddingExhausted(RuntimeError):
@@ -99,7 +105,8 @@ class CirculantEmbedding:
     by ascending frequency index (cosine before sine).
 
     Only what sampling reads stays resident: per input coordinate, its
-    slot in the half spectrum and its amplitude (2 * 8 s bytes).
+    slot in the half spectrum (``int32`` where the slots fit, else
+    ``intp``) and its amplitude, 12 s bytes in all (12 MiB at s = 2^20).
     ``eigenvalues``, ``importance_order`` and ``_coord_eigs`` are
     computed from ``kernel`` on first access and then cached; they are
     bitwise the values the build used.  ``dct_screens`` and
@@ -150,35 +157,38 @@ class FieldRealization:
     values: np.ndarray       # exp(log_values), same shape
 
 
-def _representatives(ext: int, dim: int):
+def _representatives(ext: int, dim: int, idx: type = np.intp):
     """One flat frequency per self-conjugate frequency or pair {k, -k}:
     the smaller flat index, carrying 1 or 2 (cosine, sine) adjacent
-    coordinates.  Returns the representatives, their conjugates and
-    their coordinate counts, in ascending frequency index."""
+    coordinates.  Returns the representatives and their conjugates (as
+    ``idx``, which must hold ext^dim) and their coordinate counts (int8),
+    in ascending frequency index."""
     # flat index of the conjugate frequency -k (mod ext), axis by axis
-    neg = (-np.arange(ext)) % ext
-    conj = np.zeros((1,) * dim, dtype=np.int64)
+    neg = (-np.arange(ext, dtype=idx)) % ext
+    conj = np.zeros((ext,) * dim, dtype=idx)
     for ax in range(dim):
         shape = [1] * dim
         shape[ax] = ext
-        conj = conj + (neg * ext ** (dim - 1 - ax)).reshape(shape)
+        conj += (neg * ext ** (dim - 1 - ax)).reshape(shape)
     conj = conj.ravel()
-    rep = np.flatnonzero(conj >= np.arange(conj.size))
-    rep_conj = conj[rep]
-    return rep, rep_conj, 1 + (rep_conj != rep)
+    flat = np.arange(conj.size, dtype=idx)
+    keep = conj >= flat
+    rep, rep_conj = flat[keep], conj[keep]
+    return rep, rep_conj, (rep_conj != rep) + np.int8(1)
 
 
-def _ranking(rep_eigs: np.ndarray, count: np.ndarray):
-    """Rank representatives by descending eigenvalue, stably.
+def _ranking(neg_eigs: np.ndarray, count: np.ndarray, idx: type = np.intp):
+    """Rank representatives by descending eigenvalue, stably, from their
+    negated eigenvalues ``neg_eigs``.
 
     Expanding them ranks coordinates stably too: a representative's
     coordinates share one eigenvalue.  Returns the order, the ranked
     counts and, per ranked representative, the input index past its
-    coordinates.
+    coordinates (as ``idx``).
     """
-    order = np.argsort(-rep_eigs, kind="stable")
+    order = np.argsort(neg_eigs, kind="stable")
     count = count[order]
-    return order, count, np.cumsum(count)
+    return order, count, np.cumsum(count, dtype=idx)
 
 
 def _canonical_coordinates(eigs_flat: np.ndarray, ext: int, dim: int):
@@ -192,7 +202,7 @@ def _canonical_coordinates(eigs_flat: np.ndarray, ext: int, dim: int):
     """
     rep, _, count = _representatives(ext, dim)
     rep_eigs = eigs_flat[rep]
-    order, ranked, ends = _ranking(rep_eigs, count)
+    order, ranked, ends = _ranking(-rep_eigs, count)
     first = np.cumsum(count) - count
     importance = np.repeat(first[order], ranked)
     importance[ends[ranked == 2] - 1] += 1          # sine coordinates
@@ -216,33 +226,61 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     stored and ``irfft`` keeps only the real part of the leading-axes
     transform, so the pair fills k alone with sqrt(2 lambda).  The factor
     sqrt(s) undoes the 1/s of the inverse transforms.
+
+    ``eigs_flat`` is spent: its buffer takes the amplitudes.  Index
+    arithmetic runs in 32 bits where the slots fit, and each array is
+    dropped once spent, so at s = 2^20 the map holds at most about 18 MiB
+    next to the 8 MiB of ``eigs_flat``.
     """
     half = ext // 2 + 1
     s = ext**dim
-    rep, rep_conj, count = _representatives(ext, dim)
+    n_lead = ext ** (dim - 1)
+    idx = np.int32 if 2 * half * n_lead <= 2**31 else np.intp
+    rep, rep_conj, count = _representatives(ext, dim, idx)
     rep_eigs = eigs_flat[rep]
 
     # half-spectrum slot: k itself, or -k when k_last is past ext/2
     lead, last = np.divmod(rep, ext)
+    del rep
     mirrored = last >= half
     lead[mirrored] = rep_conj[mirrored] // ext
+    del rep_conj
     last[mirrored] = ext - last[mirrored]
-    del rep, rep_conj
+    # amplitude sqrt(s * weight * lambda), the products in that order
+    amp_rep = np.where((last == 0) | (last == ext // 2), 2.0, 0.5)
+    amp_rep[count == 1] = 1.0                      # self-conjugate
+    amp_rep *= s
+    amp_rep *= rep_eigs
+    np.sqrt(amp_rep, out=amp_rep)
     # flat index of the leading frequency axes in reverse order
-    n_lead = ext ** (dim - 1)
-    rev_lead = np.arange(n_lead).reshape((ext,) * (dim - 1)).T.ravel()
-    slot = last * n_lead + rev_lead[lead]
-    weight = np.where((last == 0) | (last == ext // 2), 2.0, 0.5)
-    weight[count == 1] = 1.0                       # self-conjugate
-    amp_rep = np.sqrt(s * weight * rep_eigs)
-    del lead, last, weight
+    rev_lead = np.arange(n_lead, dtype=idx).reshape((ext,) * (dim - 1)).T.ravel()
+    slot = rev_lead[lead]
+    del lead
+    last *= n_lead
+    slot += last
+    del last
 
-    order, count, ends = _ranking(rep_eigs, count)
-    sine = ends[count == 2] - 1          # input index of each sine coordinate
-    amp = np.repeat(amp_rep[order], count)
-    amp[ends[mirrored[order]] - 1] *= -1.0     # mirrored reps are pairs
-    pos = np.repeat(2 * slot[order], count)
-    pos[sine] += 1
+    order, count, ends = _ranking(np.negative(rep_eigs, out=rep_eigs), count, idx)
+    del rep_eigs
+    amp_rep = amp_rep[order]
+    slot = slot[order]
+    mirrored = mirrored[order]
+    del order
+    slot *= 2
+    # a ranked representative's inputs run from ends - count (its cosine,
+    # or its only coordinate) to ends - 1 (its sine)
+    amp, pos = eigs_flat, np.empty(s, dtype=idx)
+    at = ends
+    at -= count
+    amp[at] = amp_rep
+    pos[at] = slot
+    at += count
+    at -= 1
+    amp_rep[mirrored] *= -1.0                  # mirrored reps are pairs
+    slot += count
+    slot -= 1                                  # a sine is an imaginary part
+    amp[at] = amp_rep
+    pos[at] = slot
     return pos, amp
 
 
@@ -281,13 +319,22 @@ def _lag_block(kernel, grid: UniformGrid, m: int,
     return block
 
 
-def _mirror(block: np.ndarray, ext: int) -> np.ndarray:
-    """The circulant column of a lag block: lag l reads min(l, ext - l)."""
-    fold = np.arange(ext)
-    fold = np.minimum(fold, ext - fold)
-    for ax in range(block.ndim):
-        block = block.take(fold, axis=ax)
-    return block
+def _mirror(block: np.ndarray, ext: int,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The circulant column of a lag block: lag l reads min(l, ext - l).
+
+    Written into ``out`` (shape (ext,)*d, any dtype) when given, without
+    temporaries: per axis, the column holds lags 0 .. m-1, then m-2 down
+    to 1 (m = ext/2 + 1 the block's length).
+    """
+    m = block.shape[0]
+    if out is None:
+        out = np.empty((ext,) * block.ndim)
+    halves = ((slice(0, m), slice(None)), (slice(m, None), slice(m - 2, 0, -1)))
+    for parts in itertools.product(halves, repeat=block.ndim):
+        dst, src = zip(*parts)
+        out[dst] = block[src]
+    return out
 
 
 def _circulant_column(kernel, grid: UniformGrid, ext: int) -> np.ndarray:
@@ -356,11 +403,16 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
         screens += 1
         if not _screen_rejects(block, tol):
             ffts += 1
-            eigs = np.fft.fftn(_mirror(block, ext)).real
+            # the column goes straight into a complex array that the FFT
+            # overwrites: no real copy or second complex array is held
+            spec = np.zeros((ext,) * grid.dim, dtype=complex)
+            _mirror(block, ext, out=spec.real)
+            eigs = np.fft.fftn(spec, out=spec).real
             if eigs.min() >= -tol * eigs.max():
                 clamped = int(np.count_nonzero(eigs < 0))
-                eigs = np.maximum(eigs, 0.0)      # frees the complex spectrum
-                pos, amp = _spectrum_map(eigs.ravel(), ext, grid.dim)
+                eigs = np.maximum(eigs, 0.0).ravel()
+                del spec, block          # spent: free them before the map
+                pos, amp = _spectrum_map(eigs, ext, grid.dim)   # amp is eigs
                 return CirculantEmbedding(
                     grid=grid, ext_per_axis=ext, s=ext**grid.dim,
                     clamped=clamped, kernel=kernel, _spec_pos=pos,
@@ -401,7 +453,9 @@ def sample_field(e: CirculantEmbedding, zbar: np.ndarray, y: np.ndarray,
     spectrum -- B is never materialized: one scatter of the scaled
     inputs, an inverse FFT over each leading frequency axis that keeps
     only the first n outputs (the physical grid), and one real inverse
-    FFT over the last axis.  Then adds the mean and exponentiates.
+    FFT over the last axis.  Then adds the mean and exponentiates.  The
+    half spectrum is the one s-sized array it allocates: the scatter
+    runs in blocks and the leading-axis FFTs overwrite the spectrum.
 
     ``zbar`` holds the mean log-field's values at ``e.grid.points()``
     (C-ordered, any shape with that many entries), as ``MeanField.at``
@@ -413,10 +467,13 @@ def sample_field(e: CirculantEmbedding, zbar: np.ndarray, y: np.ndarray,
     # frequency axes in reverse order, see _spectrum_map
     spec_shape = (ext // 2 + 1,) + (ext,) * (dim - 1)
     spec = np.zeros(2 * math.prod(spec_shape))
-    spec[e._spec_pos] = e._spec_amp * y
+    for a in range(0, e.s, _BLOCK):
+        # intp indices take numpy's fast scatter; a block keeps them small
+        block = slice(a, a + _BLOCK)
+        spec[e._spec_pos[block].astype(np.intp)] = e._spec_amp[block] * y[block]
     z = spec.view(complex).reshape(spec_shape)
     for ax in range(dim - 1, 0, -1):
-        z = np.fft.ifft(z, axis=ax)[(slice(None),) * ax + (slice(n),)]
+        z = np.fft.ifft(z, axis=ax, out=z)[(slice(None),) * ax + (slice(n),)]
     z = np.fft.irfft(z, n=ext, axis=0)[:n]
 
     log_vals = np.ascontiguousarray(z.T)

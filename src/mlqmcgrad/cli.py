@@ -382,6 +382,9 @@ def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, manifest: dict,
     paths["manifest"] = outdir / "manifest.json"
     ledger = estimators.cost_ledger(hier, allocation, coupled)
     ledger["openblas_num_threads"] = OPENBLAS_NUM_THREADS
+    # process high-water marks, after set-up and after the whole run
+    ledger["peak_rss_mb_setup"] = hier.setup_peak_rss_mb
+    ledger["peak_rss_mb_run"] = estimators.peak_rss_mb()
     ledger["embeddings"] = [
         {"level": ell, "ext": e.ext_per_axis, "s": e.s, "clamped": e.clamped,
          "dct_screens": e.dct_screens, "fftn_calls": e.fftn_calls}

@@ -16,6 +16,7 @@ identical allocations; wall-clock times are recorded separately.
 """
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field as dfield
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,6 +38,11 @@ from .circulant_field import (
 from .covariance import MaternParams, MeanField
 from .fem import FeFunction, FeLevel, OperatorSet, TargetAndControl
 
+try:
+    import resource
+except ImportError:              # not on Windows
+    resource = None
+
 __all__ = [
     "LevelHierarchy",
     "QmcLevelAccumulator",
@@ -52,6 +58,7 @@ __all__ = [
     "estimator_sweep",
     "measured_cost",
     "cost_ledger",
+    "peak_rss_mb",
     "fit_loglog_slope",
     "cost_fit_states",
     "fit_cost_exponent",
@@ -69,6 +76,16 @@ class InsufficientShifts(ValueError):
     """Shift-based variance estimation needs at least two shifts."""
 
 
+def peak_rss_mb() -> Optional[float]:
+    """The process's resident-set high-water mark so far, in MB; None
+    where ``resource`` is missing.  ``ru_maxrss`` counts KiB on Linux and
+    bytes on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024
+
+
 @dataclass
 class _LevelTiming:
     samples: int = 0
@@ -84,7 +101,8 @@ class LevelHierarchy:
     the one map from a field to a mesh's per-triangle coefficients).
 
     Immutable after construction; estimation only reads it (the timing
-    ledger is the one mutable side channel).
+    ledger is the one mutable side channel).  ``setup_peak_rss_mb`` is
+    the process's memory high-water mark when construction ended.
     """
 
     def __init__(self, kernel: MaternParams, mean: MeanField,
@@ -145,6 +163,7 @@ class LevelHierarchy:
         # keyed by (level, correction): a correction q_l - q_{l-1} and a
         # plain q_l sample at the same level cost different amounts
         self.timing: Dict[Tuple[int, bool], _LevelTiming] = {}
+        self.setup_peak_rss_mb = peak_rss_mb()
 
     def record_timing(self, level: int, correction: bool, ce: float, fe: float):
         t = self.timing.setdefault((level, correction), _LevelTiming())
@@ -182,6 +201,10 @@ def coupled_sample(hier: LevelHierarchy, ell: int, y: np.ndarray,
         fld = sample_field(hier.embeddings[ell], hier.mean_values[ell], y, level=ell)
     except Exception as exc:
         raise type(exc)(f"level {ell}: {exc}") from exc
+    # the normals are spent: when the caller hands them over unnamed, as
+    # the accumulators do, their s doubles are freed before the solves
+    # (CPython 3.11 and later pass such an argument's only reference)
+    del y
     t1 = time.perf_counter()
     correction = coupled and ell > 0
     try:
@@ -262,9 +285,12 @@ class QmcLevelAccumulator(_LevelAccumulator):
         self.sums = np.zeros((R, M))
 
     def _evaluate(self, shift: np.ndarray, k: int) -> np.ndarray:
-        xi = qmc.sequence_point(self.gv, k, shift)
-        y = qmc.cube_to_normal(xi)
-        return coupled_sample(self.hier, self.level, y, self.coupled).nodal_values
+        # neither the cube point nor the normals are bound to a name here,
+        # so each is freed as soon as it is spent (see coupled_sample)
+        return coupled_sample(
+            self.hier, self.level,
+            qmc.cube_to_normal(qmc.sequence_point(self.gv, k, shift)),
+            self.coupled).nodal_values
 
     def refine(self):
         # shifts are drawn again on every refinement, one at a time: keeping
@@ -313,8 +339,9 @@ class McLevelAccumulator(_LevelAccumulator):
 
     def _evaluate(self, r: int, k: int) -> np.ndarray:
         rng = qmc.shift_rng(self.hier.master_seed, self.stream, self.level, k)
-        y = rng.standard_normal(self.hier.embeddings[self.level].s)
-        return coupled_sample(self.hier, self.level, y, self.coupled).nodal_values
+        s = self.hier.embeddings[self.level].s
+        return coupled_sample(self.hier, self.level, rng.standard_normal(s),
+                              self.coupled).nodal_values
 
     def refine(self):
         n_new = self.warmup if self.N == 0 else 2 * self.N

@@ -1,4 +1,6 @@
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,12 +280,66 @@ def test_embedding_spectrum_and_order_bitwise(case, kernel, tol, attempts):
     coord_eigs = reference_coordinates(eigs)[0]
     order = np.argsort(-coord_eigs, kind="stable")
     pos, amp = reference_spectrum_map(eigs, order)
-    assert emb._spec_pos.dtype == np.intp and np.array_equal(emb._spec_pos, pos)
+    assert emb._spec_pos.dtype == np.int32 and np.array_equal(emb._spec_pos, pos)
     assert emb._spec_amp.tobytes() == amp.tobytes()
     # the cached properties are computed again from the kernel
     assert emb.eigenvalues.tobytes() == eigs.tobytes()
     assert emb._coord_eigs.tobytes() == coord_eigs.tobytes()
     assert np.array_equal(emb.importance_order, order)
+
+
+def traced(fn):
+    """``fn()``, the bytes it left allocated and its traced peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
+
+
+P2_KERNEL = MaternParams(sigma2=0.1, lambda_c=1.0, nu=2.5)
+
+
+def test_embedding_build_memory():
+    # problem 2's level 4: s = 2^18; the build keeps 4 + 8 bytes per input
+    # (32-bit slot, amplitude) and peaks below three times that
+    emb, kept, peak = traced(lambda: build_embedding(P2_KERNEL, UniformGrid(2, 17)))
+    assert emb.s == 2**18
+    assert emb._spec_pos.itemsize == 4
+    assert kept <= (emb._spec_pos.itemsize + 8) * emb.s + 2**16
+    assert peak <= 3 * kept
+
+
+def reference_sample_field(e, zbar, y):
+    """One scatter of the whole scaled input and out-of-place transforms."""
+    dim, ext, n = e.grid.dim, e.ext_per_axis, e.grid.points_per_axis
+    spec_shape = (ext // 2 + 1,) + (ext,) * (dim - 1)
+    spec = np.zeros(2 * math.prod(spec_shape))
+    spec[e._spec_pos.astype(np.intp)] = e._spec_amp * y
+    z = spec.view(complex).reshape(spec_shape)
+    for ax in range(dim - 1, 0, -1):
+        z = np.fft.ifft(z, axis=ax)[(slice(None),) * ax + (slice(n),)]
+    z = np.fft.irfft(z, n=ext, axis=0)[:n]
+    return np.ascontiguousarray(z.T) + np.reshape(zbar, (n,) * dim)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 17), (3, 9)])
+def test_blockwise_sampling_bitwise_and_lean(dim, n):
+    # several scatter blocks; the sampler holds the half spectrum and one
+    # block of products and indices, and nothing else s-sized (the slack
+    # covers grid-sized arrays)
+    emb = build_embedding(P2_KERNEL if dim == 2 else P1_KERNEL, UniformGrid(dim, n))
+    assert emb.s > 2**16
+    zbar = mean_values(emb, 0.25)
+    y = np.random.default_rng(5).standard_normal(emb.s)
+    fld, _, peak = traced(lambda: sample_field(emb, zbar, y))
+    assert fld.log_values.tobytes() == reference_sample_field(emb, zbar, y).tobytes()
+    ext = emb.ext_per_axis
+    half_spectrum = 16 * (ext // 2 + 1) * ext ** (dim - 1)
+    assert peak <= half_spectrum + 16 * 2**16 + 2**18
 
 
 def test_embedding_keeps_only_the_sampling_map():

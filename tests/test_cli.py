@@ -225,6 +225,13 @@ def test_gradient_files_match_per_value_writer(n, data):
 
 
 class TestTimingLedger:
+    def test_peak_rss_recorded_outside_manifest(self, run_artifacts):
+        _, out, _ = run_artifacts
+        timing = json.loads((out / "timing.json").read_text())
+        setup, run = timing["peak_rss_mb_setup"], timing["peak_rss_mb_run"]
+        assert 0 < setup <= run
+        assert "peak_rss" not in (out / "manifest.json").read_text()
+
     @pytest.mark.parametrize("method", ["mlmc", "mlqmc"])
     def test_model_cost_matches_manifest(self, tmp_path, method):
         cfg = RunConfig.from_dict(cli._deep_merge(

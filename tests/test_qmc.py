@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +60,7 @@ class TestLatticePoint:
         rng = np.random.default_rng(0)
         for N in (7, 16, 33, 64):
             z = gv(2 * rng.integers(0, 2**19, size=3) + 1)
-            pts = {tuple(Fraction(int(i * zj) % N, N) for zj in z.entries)
+            pts = {tuple(Fraction(i * int(zj) % N, N) for zj in z.entries)
                    for i in range(1, N + 1)}
             for a in list(pts)[:10]:
                 for b in list(pts)[:10]:
@@ -140,6 +141,20 @@ class TestCubeToNormal:
     def test_bitwise_equal_to_reference(self, xi):
         xi = np.array(xi)
         assert cube_to_normal(xi).tobytes() == reference_cube_to_normal(xi).tobytes()
+
+    def test_bitwise_across_blocks(self):
+        # several blocks of the blockwise map, with tails and special
+        # points in every block, and a 2-D input keeping its shape
+        rng = np.random.default_rng(3)
+        xi = rng.random(3 * 2**16 + 17)
+        xi[::997] = rng.random(xi[::997].size) ** 60
+        xi[5::991] = 1.0 - rng.random(xi[5::991].size) ** 60
+        xi[7::4099] = np.resize(SPECIAL_POINTS, xi[7::4099].size)
+        y = cube_to_normal(xi)
+        assert y.tobytes() == reference_cube_to_normal(xi).tobytes()
+        assert np.any(np.abs(y[2**17:]) > 4.0)
+        square = xi[:2**17].reshape(2**8, 2**9)
+        assert cube_to_normal(square).tobytes() == y[:2**17].tobytes()
 
 
 class TestToNormal:
@@ -227,6 +242,94 @@ class TestAssignDimensions:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             assign_inputs(self.emb, np.zeros(self.emb.s - 1))
+
+
+def reference_extend(z, s_needed, seed):
+    """The concatenating extension: odd draws appended in int64."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    extra = 2 * rng.integers(0, z.n_max // 2, size=s_needed - len(z)) + 1
+    return np.concatenate([z.entries.astype(np.int64), extra])
+
+
+def traced(fn):
+    """``fn()``, the bytes it left allocated and its traced peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
+
+
+class TestIntegerWidths:
+    @pytest.mark.parametrize("n_max,dtype", [(2**12, np.int32), (2**31, np.int32),
+                                             (2**31 + 1, np.int64), (2**40, np.int64)])
+    def test_entry_width_follows_n_max(self, n_max, dtype):
+        assert gv([1, 3, 5], n_max=n_max).entries.dtype == dtype
+
+    def test_default_vector_is_32_bit(self):
+        assert default_generating_vector().entries.dtype == np.int32
+
+    def test_wide_file_keeps_int64(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        p.write_text(f"1 {2**35 + 1}\n2 3\n")
+        z = load_generating_vector(p, n_max=2**40)
+        assert z.entries.dtype == np.int64
+        assert z.entries.tolist() == [2**35 + 1, 3]
+
+    @pytest.mark.parametrize("n_max", [2**12, 2**20, 2**31, 2**40])
+    @pytest.mark.parametrize("seed", [0, [7, 101, 5]])
+    def test_extend_equals_concatenating_formula(self, n_max, seed):
+        z = gv([3, 5, 7], n_max=n_max, loaded_prefix=3)
+        ext = extend_vector(z, 5000, seed=seed)
+        ref = reference_extend(z, 5000, seed)
+        assert ext.entries.dtype == (np.int32 if n_max <= 2**31 else np.int64)
+        assert np.array_equal(ext.entries, ref)
+        assert ext.loaded_prefix == 3 and ext.n_max == n_max
+
+    def test_extended_vector_keeps_four_bytes_per_entry(self):
+        s = 2**20
+        ext, kept, peak = traced(
+            lambda: extend_vector(default_generating_vector(), s, seed=1))
+        assert len(ext) == s
+        assert kept <= 4 * s + 2**16
+        assert peak <= 8 * s + 2**16      # the array and one draw
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(0, 2**20 - 1), s=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=2**20 - 1, s=8, seed=0)
+    def test_sequence_point_with_wide_entries(self, k, s, seed):
+        # entries up to n_max - 1 = 2^31 - 1 stored in 32 bits; the
+        # float form is exact there (rev * z < 2^51)
+        rng = np.random.default_rng(seed)
+        entries = rng.integers(1, 2**31, size=s)
+        entries[0] = 2**31 - 1
+        z = gv(entries, n_max=2**31)
+        delta = rng.random(s)
+        ref = ((radical_inverse(k) * z.entries) % 1.0 + delta) % 1.0
+        assert z.entries.dtype == np.int32
+        assert sequence_point(z, k, delta).tobytes() == ref.tobytes()
+
+    def test_lattice_point_products_past_2_31(self):
+        z = gv([2**31 - 1, 2**31 - 3, 123456789, 1], n_max=2**31)
+        N = 2**20
+        for i in (3, 2**11 + 1, N - 1, N):
+            assert i * int(z.entries[0]) >= 2**31
+            pt = lattice_point(z, N, i, np.zeros(4))
+            ref = [Fraction(i * int(zj), N) % 1 for zj in z.entries]
+            assert [Fraction(v) for v in pt] == ref
+
+
+def test_cube_to_normal_holds_only_its_normals():
+    # at s = 2^20: the s-long output and block-sized temporaries
+    s = 2**20
+    xi = np.random.default_rng(0).random(s)
+    y, _, peak = traced(lambda: cube_to_normal(xi))
+    assert y.shape == (s,)
+    assert peak <= 8 * s + 2**20
 
 
 class TestExtendVector:
