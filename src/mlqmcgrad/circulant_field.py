@@ -538,7 +538,9 @@ def interpolation_stencil(grid: UniformGrid, x: np.ndarray) -> Stencil:
     dim = grid.dim
     _check_in_domain(x_arr, dim)
     n = grid.points_per_axis
-    t = np.clip(x_arr, 0.0, 1.0) / grid.spacing
+    # scaled by n - 1, not divided by the spacing: the quotient can round
+    # a point on a cell face off it, and weight a far corner by ~1e-15
+    t = np.clip(x_arr, 0.0, 1.0) * (n - 1)
     i0 = np.minimum(t.astype(np.int64), n - 2)
     w = t - i0
 

@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
 from . import OPENBLAS_NUM_THREADS, __version__, estimators, fem, qmc
 from .circulant_field import PaddingExhausted
@@ -376,12 +378,39 @@ def _base_manifest(cfg: RunConfig) -> dict:
     }
 
 
+def _environment() -> dict:
+    """Interpreter, library and processor facts a timing depends on.
+
+    numpy and scipy each bundle their own OpenBLAS, which may differ:
+    scipy's runs the banded Cholesky factor.
+    """
+    def library(config: dict, kind: str) -> dict:
+        dep = config.get("Build Dependencies", {}).get(kind, {})
+        return {"name": dep.get("name"), "version": dep.get("version")}
+
+    try:
+        scipy_config = scipy.show_config(mode="dicts")
+    except TypeError:  # scipy < 1.11 only prints its configuration
+        scipy_config = {}
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "affinity_size": len(affinity(0)) if affinity else None,
+        "numpy_blas": library(np.show_config(mode="dicts"), "blas"),
+        "scipy_lapack": library(scipy_config, "lapack"),
+    }
+
+
 def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, manifest: dict,
             paths: dict, allocation=None, coupled: bool = True) -> RunArtifacts:
     _write_json(outdir / "manifest.json", manifest)
     paths["manifest"] = outdir / "manifest.json"
     ledger = estimators.cost_ledger(hier, allocation, coupled)
     ledger["openblas_num_threads"] = OPENBLAS_NUM_THREADS
+    ledger["environment"] = _environment()
     # process high-water marks, after set-up and after the whole run
     ledger["peak_rss_mb_setup"] = hier.setup_peak_rss_mb
     ledger["peak_rss_mb_run"] = estimators.peak_rss_mb()

@@ -1,7 +1,7 @@
 """Rank-1 lattice rules with random shifting.
 
 A shifted lattice point is frac(i*z/N + Delta) for a generating vector z
-of positive integers.  Points are also exposed in embedded-sequence order
+of positive integers.  Points are generated in embedded-sequence order
 (dyadic radical inverse), so that the first 2^m sequence points coincide
 with the N = 2^m lattice rule as a set: doubling N then reuses every
 point already evaluated.
@@ -12,7 +12,6 @@ clamped away from 0 and 1 before the map.
 """
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,10 +22,7 @@ from scipy.special import erfc, ndtri
 
 __all__ = [
     "GeneratingVector",
-    "lattice_point",
     "sequence_point",
-    "radical_inverse",
-    "to_normal",
     "extend_vector",
     "load_generating_vector",
     "default_generating_vector",
@@ -55,7 +51,7 @@ class GeneratingVector:
     entries came from a file, the rest from seeded random extension
     (odd integers, coprime with power-of-two point counts).
     ``n_min``/``n_max`` bound the point counts the loaded prefix is
-    meant for; using other counts only triggers a warning.
+    meant for; nothing enforces that range.
 
     Entries lie below ``n_max``, so they are stored as ``int32`` when
     ``n_max <= 2^31`` (4 bytes per entry: 4 MB for the 2^20 entries of
@@ -103,38 +99,6 @@ def make_shift_set(master_seed: int, level: int, R: int,
         yield shift_rng(master_seed, "shift", level, r).random(s)
 
 
-def lattice_point(gv: GeneratingVector, N: int, i: int,
-                  delta: np.ndarray) -> np.ndarray:
-    """Point i of the N-point shifted rule, i in [1, N].
-
-    The lattice part ((i * z) mod N) / N is computed in integer
-    arithmetic; the shift is added modulo 1.
-    """
-    if not (1 <= i <= N):
-        raise IndexError(f"lattice index {i} outside [1, {N}]")
-    delta = np.asarray(delta, dtype=float)
-    s = delta.size
-    if len(gv) < s:
-        raise ValueError(f"generating vector has {len(gv)} < s = {s} entries")
-    if not (gv.n_min <= N <= gv.n_max):
-        warnings.warn(
-            f"point count N={N} outside the loaded vector's range "
-            f"[{gv.n_min}, {gv.n_max}]", stacklevel=2)
-    frac = (np.multiply(gv.entries[:s], i, dtype=np.int64) % N).astype(float) / N
-    return (frac + delta) % 1.0
-
-
-def radical_inverse(k: int) -> float:
-    """Dyadic radical inverse: bit-reversed fraction of k, in [0,1)."""
-    v, f = 0.0, 0.5
-    while k:
-        if k & 1:
-            v += f
-        f *= 0.5
-        k >>= 1
-    return v
-
-
 def sequence_point(gv: GeneratingVector, k: int, delta: np.ndarray) -> np.ndarray:
     """Point k of the embedded lattice sequence (k = 0, 1, 2, ...).
 
@@ -144,8 +108,8 @@ def sequence_point(gv: GeneratingVector, k: int, delta: np.ndarray) -> np.ndarra
 
     With m the bit length of k and rev its m-bit reversal, the radical
     inverse is rev / 2^m, so the lattice part frac(rev * z / 2^m) is
-    computed in integers and scaled exactly.  The result equals
-    ``((radical_inverse(k) * z) % 1 + delta) % 1`` bitwise: both sums
+    computed in integers and scaled exactly.  The result equals the
+    float form ``((rev / 2^m * z) % 1 + delta) % 1`` bitwise: both sums
     lie in [0, 2), where subtracting 1 is exact.
     """
     delta = np.asarray(delta, dtype=float)
@@ -176,19 +140,6 @@ def _refine_quantile(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
         pdf = inv_sqrt2pi * np.exp(-0.5 * y * y)
         y = y - (cdf - xi) / pdf
     return y
-
-
-def to_normal(xi: np.ndarray) -> np.ndarray:
-    """Componentwise inverse standard-normal CDF on (0,1).
-
-    Absolute accuracy below 1e-9 over [1e-300, 1 - 1e-16]: the library
-    inverse is Newton-refined where |y| > 4 (the tail region where its
-    own accuracy degrades).
-    """
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= 0.0) or np.any(xi >= 1.0):
-        raise ValueError("inverse normal CDF requires components in (0,1)")
-    return _ndtri_refined(xi)
 
 
 def _ndtri_refined(xi: np.ndarray, lo: float = 0.0) -> np.ndarray:

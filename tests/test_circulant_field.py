@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mlqmcgrad.covariance import MaternParams, MeanField, matern_cov
 from mlqmcgrad.circulant_field import (
@@ -480,6 +480,10 @@ def grid_and_points(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(gp=grid_and_points(), seed=st.integers(0, 2**32 - 1))
+# on cell faces, weights from x / spacing put 3.6e-15 on a corner worth 45
+# here and missed the reference by 2.5e-13 relative; x * (n - 1) gives 0
+@example(gp=(UniformGrid(dim=3, points_per_axis=29), np.array([[18 / 28, 1.0, 15 / 28]])),
+         seed=1812)
 def test_stencil_matches_tensor_interpolation(gp, seed):
     grid, pts = gp
     n = grid.points_per_axis

@@ -232,6 +232,24 @@ class TestTimingLedger:
         assert 0 < setup <= run
         assert "peak_rss" not in (out / "manifest.json").read_text()
 
+    def test_environment_recorded_outside_manifest(self, run_artifacts, tmp_path,
+                                                    monkeypatch):
+        _, out, cfg = run_artifacts
+        env = json.loads((out / "timing.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "affinity_size",
+                            "numpy_blas", "scipy_lapack"}
+        assert env["numpy"] == np.__version__
+        assert env["affinity_size"] is None or 1 <= env["affinity_size"] <= env["cpu_count"]
+        for lib in (env["numpy_blas"], env["scipy_lapack"]):
+            assert set(lib) == {"name", "version"} and lib["name"]
+        # a run on another machine writes the same manifest bytes
+        monkeypatch.setattr(cli, "_environment", lambda: {"python": "0"})
+        cli.run_experiment(cfg, tmp_path)
+        assert json.loads((tmp_path / "timing.json").read_text())["environment"] \
+            == {"python": "0"}
+        assert (tmp_path / "manifest.json").read_bytes() == \
+            (out / "manifest.json").read_bytes()
+
     @pytest.mark.parametrize("method", ["mlmc", "mlqmc"])
     def test_model_cost_matches_manifest(self, tmp_path, method):
         cfg = RunConfig.from_dict(cli._deep_merge(

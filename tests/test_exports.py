@@ -25,3 +25,12 @@ def test_fem_takes_only_nesting_violation_from_circulant_field():
                    if val is circulant_field
                    or getattr(val, "__module__", None) == circulant_field.__name__)
     assert taken == ["NestingViolation"]
+
+
+def test_test_only_helpers_live_in_the_tests():
+    # reference forms that no package code calls are oracles in the tests
+    from mlqmcgrad import fem, qmc
+    for owner, name in ((qmc, "lattice_point"), (qmc, "radical_inverse"),
+                        (qmc, "to_normal"), (fem.FeLevel, "eval_function")):
+        assert not hasattr(owner, name)
+        assert name not in getattr(owner, "__all__", ())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -51,6 +53,23 @@ def load(lev, f, **kwargs):
     return fem.assemble_load(lev, f(lev.quad_points), **kwargs)
 
 
+def eval_p1(lev, f, x):
+    """Evaluate the P1 function ``f`` on ``lev`` at points ``x`` (npts, 2)."""
+    n = lev.nodes_per_axis
+    t = np.clip(x, 0.0, 1.0) / lev.h
+    i0 = np.minimum(t.astype(np.int64), n - 2)
+    lx, ly = (t - i0).T
+    v = f.nodal_values.reshape(n, n)
+    v00 = v[i0[:, 0], i0[:, 1]]
+    v10 = v[i0[:, 0] + 1, i0[:, 1]]
+    v01 = v[i0[:, 0], i0[:, 1] + 1]
+    v11 = v[i0[:, 0] + 1, i0[:, 1] + 1]
+    # the diagonal of each cell runs from (0,0) to (1,1)
+    return np.where(lx >= ly,
+                    v00 + lx * (v10 - v00) + ly * (v11 - v10),
+                    v00 + ly * (v01 - v00) + lx * (v11 - v01))
+
+
 def solve_state(levels, ell, a, z, rtol=1e-10):
     """State solve -div(a grad u) = z at level ``ell``."""
     lev = levels[ell]
@@ -84,13 +103,150 @@ class TestStiffness:
         assert np.linalg.eigvalsh(Ai).min() > 0.0
 
 
+def unit_local_stiffness(lev):
+    """(ntri, 3, 3) P1 stiffness of each triangle for a unit coefficient,
+    from ``lev.nodes`` and ``lev.triangles`` alone."""
+    coords = lev.nodes[lev.triangles]                  # (ntri, 3, 2)
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) / det[:, None]
+    g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
+    grads = np.stack([-g1 - g2, g1, g2], axis=1)       # (ntri, 3, 2)
+    return lev.tri_area * np.einsum("tkd,tld->tkl", grads, grads)
+
+
 def coo_stiffness(lev, a_elem):
     """Reference assembly: scatter the scaled local matrices, coo -> csr."""
-    data = (a_elem[:, None, None] * lev._local_stiff).ravel()
+    data = (a_elem[:, None, None] * unit_local_stiffness(lev)).ravel()
     rows = np.repeat(lev.triangles, 3, axis=1).ravel()
     cols = np.tile(lev.triangles, (1, 3)).ravel()
     return sp.coo_matrix((data, (rows, cols)),
                          shape=(lev.num_nodes, lev.num_nodes)).tocsr()
+
+
+def sorted_construction(lev, coarse=None):
+    """The level's operators found by sorting, as the closed-form build's
+    oracle: ``np.unique`` over (row, col) keys of the triangles' local
+    entries and ``coo -> csr`` conversions."""
+    M, ntri = lev.num_nodes, lev.num_triangles
+    tri = lev.triangles.astype(np.int64)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    keys, local_pos = np.unique(rows * M + cols, return_inverse=True)
+    rows, cols = np.divmod(keys, M)
+    ref = {"indices": cols, "indptr": np.searchsorted(rows, np.arange(M + 1)),
+           "local_pos": local_pos}
+    ref["G"] = sp.coo_matrix(
+        (unit_local_stiffness(lev).ravel(), (local_pos, np.repeat(np.arange(ntri), 9))),
+        shape=(keys.size, ntri)).tocsr()
+    local_mass = lev.tri_area / 12.0 * np.array(
+        [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+    ref["mass"] = np.bincount(
+        local_pos, weights=np.broadcast_to(local_mass, (ntri, 3, 3)).ravel(),
+        minlength=keys.size)
+
+    new_index = np.full(M, -1)
+    new_index[lev.interior] = np.arange(lev.interior.size)
+    rows, cols = new_index[rows], new_index[cols]
+    lower = (cols >= 0) & (rows >= cols)
+    ref["band_pos"] = np.flatnonzero(lower)
+    rows, cols = rows[lower], cols[lower]
+    ref["band_kd"] = int((rows - cols).max())
+    ref["band_flat"] = cols * (ref["band_kd"] + 1) + (rows - cols)
+
+    # the midpoint of edge e (local vertices e, e + 1) is quadrature point 3t + e
+    quad = np.arange(3 * ntri).reshape(ntri, 3)
+    ends = np.stack([tri, tri[:, [1, 2, 0]]], axis=-1)       # (ntri, 3, 2)
+    ref["load"] = sp.coo_matrix(
+        (np.full(6 * ntri, lev.tri_area / 3.0 * 0.5),
+         (ends.ravel(), np.repeat(quad.ravel(), 2))), shape=(M, 3 * ntri)).tocsr()
+    ref["eval"] = sp.coo_matrix(
+        (np.full(6 * ntri, 0.5), (np.repeat(quad.ravel(), 2), ends.ravel())),
+        shape=(3 * ntri, M)).tocsr()
+
+    if coarse is not None:
+        nc, nf = coarse.nodes_per_axis, lev.nodes_per_axis
+        fi, fj = (g.ravel() for g in np.meshgrid(np.arange(nf), np.arange(nf),
+                                                 indexing="ij"))
+        parents = []                     # (fine node, coarse i, coarse j, weight)
+        for odd_i, odd_j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            m = (fi % 2 == odd_i) & (fj % 2 == odd_j)
+            steps = [(0, 0)] if not (odd_i or odd_j) else [(0, 0), (odd_i, odd_j)]
+            for di, dj in steps:
+                parents.append((fi[m] * nf + fj[m], fi[m] // 2 + di, fj[m] // 2 + dj,
+                                np.full(m.sum(), 1.0 / len(steps))))
+        f, ci, cj, w = (np.concatenate(col) for col in zip(*parents))
+        ref["P"] = sp.coo_matrix((w, (f, ci * nc + cj)),
+                                 shape=(lev.num_nodes, coarse.num_nodes)).tocsr()
+    return ref
+
+
+def same_csr(A, B):
+    """Equal CSR arrays, index dtype aside."""
+    return (A.shape == B.shape
+            and all(np.array_equal(getattr(A, name), getattr(B, name))
+                    for name in ("indptr", "indices", "data")))
+
+
+@pytest.mark.parametrize("n", range(3, 130, 2))
+def test_closed_form_build_matches_sorted_construction(n):
+    lev = fem.FeLevel(0, n)
+    # n = 2 nc - 1 with nc odd: the level nests a coarser one
+    coarse = fem.FeLevel(0, (n + 1) // 2) if n % 4 == 1 else None
+    ref = sorted_construction(lev, coarse)
+    assert np.array_equal(lev.mass.indices, ref["indices"])
+    assert np.array_equal(lev.mass.indptr, ref["indptr"])
+    assert np.array_equal(lev.mass.data, ref["mass"])
+    assert same_csr(lev._stiffness_map, ref["G"])
+    assert lev._band_kd == ref["band_kd"]
+    assert np.array_equal(lev._band_pos, ref["band_pos"])
+    assert np.array_equal(lev._band_flat, ref["band_flat"])
+    assert same_csr(lev._load_op, ref["load"])
+    assert same_csr(lev._quad_eval, ref["eval"])
+    if coarse is not None:
+        assert same_csr(fem._prolongation_matrix(coarse, lev), ref["P"])
+
+
+@pytest.fixture(scope="module")
+def scatter_positions(levels):
+    """Per level, the pattern position of every local entry, by sorting."""
+    return [sorted_construction(lev)["local_pos"] for lev in levels]
+
+
+@settings(max_examples=30, deadline=None)
+@given(ell=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+       log_spread=st.floats(0.0, 3.0))
+def test_stiffness_map_equals_scatter_bitwise(levels, scatter_positions, ell, seed,
+                                              log_spread):
+    # G @ a against the scatter it replaces: the scaled local matrices
+    # summed by np.bincount, triangle by triangle
+    lev = levels[ell]
+    rng = np.random.default_rng(seed)
+    a_elem = np.exp(log_spread * rng.standard_normal(lev.num_triangles))
+    pos = scatter_positions[ell]
+    ref = np.bincount(pos, weights=(a_elem[:, None, None]
+                                    * unit_local_stiffness(lev)).ravel(),
+                      minlength=lev.mass.nnz)
+    assert fem.assemble_stiffness(lev, a_elem).data.tobytes() == ref.tobytes()
+
+
+def test_level_build_memory(levels):
+    # the finest preset mesh (129 x 129): the build holds few temporaries
+    # next to what the level keeps (about 15 MB), and its index arrays
+    # are 32-bit
+    tracemalloc.start()
+    try:
+        lev = fem.build_fe_level(5, 129, levels[4])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * kept
+    operators = (lev._stiffness_map, lev.mass, lev._load_op, lev._quad_eval,
+                 lev.prolongation)
+    for index in (lev.triangles, *(op.indices for op in operators),
+                  *(op.indptr for op in operators)):
+        assert index.dtype == np.int32
 
 
 @settings(max_examples=25, deadline=None)
@@ -283,8 +439,8 @@ class TestProlong:
         f = FeFunction(1, rng.standard_normal(levels[1].num_nodes))
         g = fem.prolong(f, levels, 3)
         pts = rng.random((100, 2))
-        vc = levels[1].eval_function(f, pts)
-        vf = levels[3].eval_function(g, pts)
+        vc = eval_p1(levels[1], f, pts)
+        vf = eval_p1(levels[3], g, pts)
         assert np.abs(vc - vf).max() < 1e-12
 
     def test_coarsening_rejected(self, levels):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,23 +10,68 @@ from scipy.special import erfc, ndtri
 
 from mlqmcgrad.circulant_field import UniformGrid, assign_inputs, build_embedding
 from mlqmcgrad.covariance import MaternParams
+from mlqmcgrad import qmc
 from mlqmcgrad.qmc import (
     GeneratingVector,
     cube_to_normal,
     default_generating_vector,
     extend_vector,
-    lattice_point,
     load_generating_vector,
     make_shift_set,
-    radical_inverse,
     sequence_point,
     shift_rng,
-    to_normal,
 )
 
 
 def gv(entries, **kw):
     return GeneratingVector(entries=np.asarray(entries, dtype=np.int64), **kw)
+
+
+# -- oracles: reference forms that the package itself does not use ------------
+
+
+def lattice_point(gv: GeneratingVector, N: int, i: int,
+                  delta: np.ndarray) -> np.ndarray:
+    """Point i of the N-point shifted rule, i in [1, N].
+
+    The lattice part ((i * z) mod N) / N is computed in integer
+    arithmetic; the shift is added modulo 1.
+    """
+    if not (1 <= i <= N):
+        raise IndexError(f"lattice index {i} outside [1, {N}]")
+    delta = np.asarray(delta, dtype=float)
+    s = delta.size
+    if len(gv) < s:
+        raise ValueError(f"generating vector has {len(gv)} < s = {s} entries")
+    if not (gv.n_min <= N <= gv.n_max):
+        warnings.warn(
+            f"point count N={N} outside the loaded vector's range "
+            f"[{gv.n_min}, {gv.n_max}]", stacklevel=2)
+    frac = (np.multiply(gv.entries[:s], i, dtype=np.int64) % N).astype(float) / N
+    return (frac + delta) % 1.0
+
+
+def radical_inverse(k: int) -> float:
+    """Dyadic radical inverse: bit-reversed fraction of k, in [0,1)."""
+    v, f = 0.0, 0.5
+    while k:
+        if k & 1:
+            v += f
+        f *= 0.5
+        k >>= 1
+    return v
+
+
+def to_normal(xi: np.ndarray) -> np.ndarray:
+    """Componentwise inverse standard-normal CDF on (0,1): the package's
+    Newton-refined map without the cube clamp of ``cube_to_normal``.
+
+    Absolute accuracy below 1e-9 over [1e-300, 1 - 1e-16].
+    """
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi <= 0.0) or np.any(xi >= 1.0):
+        raise ValueError("inverse normal CDF requires components in (0,1)")
+    return qmc._ndtri_refined(xi)
 
 
 class TestLatticePoint:
