@@ -36,7 +36,6 @@ from .circulant_field import (
     UniformGrid,
     build_embedding,
     eval_field,
-    factor_row,
     restrict_to_coarse,
     sample_field,
 )

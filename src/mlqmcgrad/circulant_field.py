@@ -18,17 +18,28 @@ reads: ``build_embedding`` maps every input coordinate to one real or
 imaginary slot of that spectrum, with a signed amplitude, so drawing a
 field is one scatter, an inverse FFT over each leading axis that keeps
 only the rows covering the physical grid, and ``irfft`` on the last axis.
+
+Embeddings of Matern kernels are cached on disk, under
+``$XDG_CACHE_HOME/mlqmcgrad`` (``~/.cache/mlqmcgrad`` when that is unset):
+a later run of the same discretization loads the slots and amplitudes
+instead of building them.  A loaded embedding is bitwise the built one.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
+from . import covariance
 from .covariance import MaternParams, matern_cov
 
 __all__ = [
@@ -39,7 +50,6 @@ __all__ = [
     "PaddingExhausted",
     "NestingViolation",
     "build_embedding",
-    "factor_row",
     "sample_field",
     "interpolation_stencil",
     "eval_field",
@@ -110,7 +120,9 @@ class CirculantEmbedding:
     ``eigenvalues``, ``importance_order`` and ``_coord_eigs`` are
     computed from ``kernel`` on first access and then cached; they are
     bitwise the values the build used.  ``dct_screens`` and
-    ``fftn_calls`` count the build's PSD screens and full spectra.
+    ``fftn_calls`` count the build's PSD screens and full spectra;
+    ``from_cache`` says whether this one was loaded from the disk cache
+    instead (the counters are then the stored build's).
     """
 
     grid: UniformGrid
@@ -124,6 +136,7 @@ class CirculantEmbedding:
     _spec_amp: np.ndarray = field(repr=False)
     dct_screens: int
     fftn_calls: int
+    from_cache: bool = False
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -209,6 +222,16 @@ def _canonical_coordinates(eigs_flat: np.ndarray, ext: int, dim: int):
     return np.repeat(rep_eigs, count), importance
 
 
+def _slot_count(ext: int, dim: int) -> int:
+    """Slots in the float64 view of the half spectrum."""
+    return 2 * (ext // 2 + 1) * ext ** (dim - 1)
+
+
+def _slot_type(ext: int, dim: int) -> type:
+    """Index type of the half-spectrum slots: ``int32`` where they fit."""
+    return np.int32 if _slot_count(ext, dim) <= 2**31 else np.intp
+
+
 def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     """Per input coordinate, its half-spectrum slot and amplitude.
 
@@ -235,7 +258,7 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     half = ext // 2 + 1
     s = ext**dim
     n_lead = ext ** (dim - 1)
-    idx = np.int32 if 2 * half * n_lead <= 2**31 else np.intp
+    idx = _slot_type(ext, dim)
     rep, rep_conj, count = _representatives(ext, dim, idx)
     rep_eigs = eigs_flat[rep]
 
@@ -390,10 +413,36 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     DCT-I of the lag block, and the full FFT runs only where the screen
     cannot reject, so every outcome is the one the FFT gives.
 
+    A MaternParams embedding is first looked up in the disk cache (see
+    ``_cache_file``), and a built one is stored there.  The cache is
+    optional, so any failure to read, validate or write a file is passed
+    over silently: the embedding is then built, as without a cache, and
+    the run's outputs and exit code stay what they would be.  Callable
+    kernels are never cached.
+
     Raises PaddingExhausted after ``max_attempts`` doublings.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    path = None
+    if isinstance(kernel, MaternParams):
+        try:
+            path = _cache_file(kernel, grid, tol, max_attempts)
+            return _load(path, kernel, grid)
+        except Exception:       # absent, unreadable or invalid: build it
+            pass
+    emb = _build(kernel, grid, tol, max_attempts)
+    if path is not None:
+        try:
+            _store(path, emb)
+        except Exception:       # a cache that cannot be written is skipped
+            pass
+    return emb
+
+
+def _build(kernel, grid: UniformGrid, tol: float,
+           max_attempts: int) -> CirculantEmbedding:
+    """The doubling search of ``build_embedding``, without the cache."""
     n = grid.points_per_axis
     ext = 2 * (n - 1)
     block = None
@@ -424,24 +473,95 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     )
 
 
+# -- disk cache of Matern embeddings -------------------------------------------
+
+# bump when the file layout changes
+_CACHE_FORMAT = 1
+
+
+def _cache_file(kernel: MaternParams, grid: UniformGrid, tol: float,
+                max_attempts: int) -> Path:
+    """The cache file of an embedding, named by the sha256 of everything
+    that determines it: the arguments, the file layout, the numpy and
+    scipy versions, and the source of this module and of ``covariance``.
+
+    The directory is ``$XDG_CACHE_HOME/mlqmcgrad``, or
+    ``~/.cache/mlqmcgrad`` when that variable is unset or not absolute.
+    """
+    key = (_CACHE_FORMAT, kernel, grid, tol, max_attempts,
+           np.__version__, scipy.__version__)
+    digest = hashlib.sha256(repr(key).encode())
+    for source in (__file__, covariance.__file__):
+        digest.update(Path(source).read_bytes())
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = Path.home() / ".cache"
+    return Path(root, "mlqmcgrad", f"embedding-{digest.hexdigest()}.npy")
+
+
+def _store(path: Path, e: CirculantEmbedding):
+    """Write ``e`` as three .npy blocks (build facts, slots, amplitudes)
+    to a temp file beside ``path``, then rename it.  The arrays go to the
+    file as they are, without a copy."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, np.array([e.ext_per_axis, e.s, e.clamped,
+                                  e.dct_screens, e.fftn_calls], dtype=np.int64))
+            np.save(fh, e._spec_pos)
+            np.save(fh, e._spec_amp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _read_block(fh, dtype, count: int) -> np.ndarray:
+    """The next .npy block of ``fh``, which must hold ``count`` entries
+    of ``dtype``: else ValueError, raised before its data are read."""
+    np.lib.format.read_magic(fh)
+    shape, _, stored = np.lib.format.read_array_header_1_0(fh)
+    dtype = np.dtype(dtype)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if shape != (count,) or stored != dtype or left < count * dtype.itemsize:
+        raise ValueError("cached embedding does not match its key")
+    return np.fromfile(fh, dtype=dtype, count=count)
+
+
+def _load(path: Path, kernel: MaternParams, grid: UniformGrid) -> CirculantEmbedding:
+    """The embedding stored at ``path``; ValueError unless its shapes,
+    types and slot range are those a build on ``grid`` yields."""
+    dim = grid.dim
+    with open(path, "rb") as fh:
+        ext, s, clamped, screens, ffts = map(int, _read_block(fh, np.int64, 5))
+        if ext < 2 * (grid.points_per_axis - 1) or s != ext**dim:
+            raise ValueError("cached embedding does not match its key")
+        pos = _read_block(fh, _slot_type(ext, dim), s)
+        amp = _read_block(fh, np.float64, s)
+    if pos.min() < 0 or pos.max() >= _slot_count(ext, dim):
+        raise ValueError("cached embedding does not match its key")
+    # Leave the allocator as a build leaves it, by freeing a block the
+    # size of the full spectrum a build frees (never touched, so it costs
+    # no memory).  glibc raises its mmap and trim thresholds when it
+    # frees a block that large; left low, they make each level-5 sample
+    # of problem 2 return its arrays to the system and fault them in
+    # again: 1,000-1,600 minor faults per sample against about 100, and
+    # 3-4 ms more per sample.
+    spectrum = np.empty((ext,) * dim, dtype=complex)
+    del spectrum
+    return CirculantEmbedding(
+        grid=grid, ext_per_axis=ext, s=s, clamped=clamped, kernel=kernel,
+        _spec_pos=pos, _spec_amp=amp, dct_screens=screens, fftn_calls=ffts,
+        from_cache=True)
+
+
 def _check_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (e.s,):
         raise ValueError(f"expected input of length s={e.s}, got {y.shape}")
     return y
-
-
-def assign_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
-    """Scatter an importance-ordered input vector to canonical coordinates.
-
-    Input coordinate r (the r-th QMC dimension) drives the internal
-    coordinate ``importance_order[r]``, so coordinate 0 is attached to
-    the largest eigenvalue of the extension.
-    """
-    y = _check_inputs(e, y)
-    out = np.empty_like(y)
-    out[e.importance_order] = y
-    return out
 
 
 def sample_field(e: CirculantEmbedding, zbar: np.ndarray, y: np.ndarray,
@@ -480,28 +600,6 @@ def sample_field(e: CirculantEmbedding, zbar: np.ndarray, y: np.ndarray,
     log_vals += np.reshape(zbar, (n,) * dim)
     return FieldRealization(level=level, grid=e.grid,
                             log_values=log_vals, values=np.exp(log_vals))
-
-
-def factor_row(e: CirculantEmbedding, i: int) -> np.ndarray:
-    """Row i of the factor B (canonical coordinate order), i < m.
-
-    B B^T reproduces the covariance matrix exactly up to FFT roundoff
-    whenever no eigenvalue clamping occurred.
-    """
-    m = e.grid.num_points
-    if not (0 <= i < m):
-        raise IndexError(f"grid point index {i} out of range [0, {m})")
-    dim, ext = e.grid.dim, e.ext_per_axis
-    pt = np.unravel_index(i, (e.grid.points_per_axis,) * dim)
-    slot, part = np.divmod(e._spec_pos, 2)
-    k = np.unravel_index(slot, (ext // 2 + 1,) + (ext,) * (dim - 1))[::-1]
-    theta = 2.0 * np.pi * sum(pt[ax] * k[ax] for ax in range(dim)) / ext
-    # irfft counts a bin strictly inside the last axis twice
-    mult = np.where((k[-1] == 0) | (k[-1] == ext // 2), 1.0, 2.0)
-    trig = np.where(part == 0, np.cos(theta), -np.sin(theta))
-    row = np.empty(e.s)
-    row[e.importance_order] = e._spec_amp * mult * trig / e.s
-    return row
 
 
 def _check_in_domain(x: np.ndarray, dim: int):

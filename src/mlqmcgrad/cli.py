@@ -30,9 +30,10 @@ import os
 import platform
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -312,6 +313,13 @@ def build_hierarchy_from_config(cfg: RunConfig) -> LevelHierarchy:
     )
 
 
+def _setup(cfg: RunConfig) -> Tuple[LevelHierarchy, float]:
+    """The hierarchy of ``cfg`` and the seconds its set-up took."""
+    t0 = time.perf_counter()
+    hier = build_hierarchy_from_config(cfg)
+    return hier, time.perf_counter() - t0
+
+
 # -- atomic artifact writers ---------------------------------------------------
 
 
@@ -404,8 +412,9 @@ def _environment() -> dict:
     }
 
 
-def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, manifest: dict,
-            paths: dict, allocation=None, coupled: bool = True) -> RunArtifacts:
+def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, setup_seconds: float,
+            manifest: dict, paths: dict, allocation=None,
+            coupled: bool = True) -> RunArtifacts:
     _write_json(outdir / "manifest.json", manifest)
     paths["manifest"] = outdir / "manifest.json"
     ledger = estimators.cost_ledger(hier, allocation, coupled)
@@ -414,9 +423,13 @@ def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, manifest: dict,
     # process high-water marks, after set-up and after the whole run
     ledger["peak_rss_mb_setup"] = hier.setup_peak_rss_mb
     ledger["peak_rss_mb_run"] = estimators.peak_rss_mb()
+    ledger["setup_seconds"] = setup_seconds
+    # from_cache: loaded from the embedding cache (the counters are then
+    # those of the build that stored it)
     ledger["embeddings"] = [
         {"level": ell, "ext": e.ext_per_axis, "s": e.s, "clamped": e.clamped,
-         "dct_screens": e.dct_screens, "fftn_calls": e.fftn_calls}
+         "dct_screens": e.dct_screens, "fftn_calls": e.fftn_calls,
+         "from_cache": e.from_cache}
         for ell, e in enumerate(hier.embeddings)]
     _write_json(outdir / "timing.json", ledger)
     paths["timing"] = outdir / "timing.json"
@@ -446,7 +459,7 @@ def _allocation(sweep: estimators.SweepResult) -> list:
 def run_experiment(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     """Run the configured estimator over its tolerance sweep."""
     outdir = Path(outdir or cfg["output"])
-    hier = build_hierarchy_from_config(cfg)
+    hier, setup_seconds = _setup(cfg)
     ecfg = cfg["estimator"]
     sweep = estimator_sweep(hier, ecfg["method"], ecfg["eps"], ecfg["cost_cap"])
     manifest = _base_manifest(cfg)
@@ -458,8 +471,8 @@ def run_experiment(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
     _write_gradient(outdir, hier, sweep.gradient)
     paths["gradient_txt"] = outdir / "gradient.txt"
     paths["gradient_csv"] = outdir / "gradient.csv"
-    return _finish(outdir, cfg, hier, manifest, paths, _allocation(sweep),
-                   sweep.coupled)
+    return _finish(outdir, cfg, hier, setup_seconds, manifest, paths,
+                   _allocation(sweep), sweep.coupled)
 
 
 def _loglog_slope_or_reason(x: list, y: list, name: str):
@@ -479,7 +492,7 @@ def variance_study(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
     the norm of the estimated level corrections.
     """
     outdir = Path(outdir or cfg["output"])
-    hier = build_hierarchy_from_config(cfg)
+    hier, setup_seconds = _setup(cfg)
     vs_cfg = cfg["variance_study"]
     n_lo, n_hi = vs_cfg["n_exp_min"], vs_cfg["n_exp_max"]
     fit_lo = vs_cfg["fit_n_exp_min"]
@@ -518,13 +531,13 @@ def variance_study(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
     _write_csv(outdir / "variance_slopes.csv",
                ["level", "slope", "corr_norm", "reason"], slope_rows)
     paths["variance_slopes"] = outdir / "variance_slopes.csv"
-    return _finish(outdir, cfg, hier, manifest, paths)
+    return _finish(outdir, cfg, hier, setup_seconds, manifest, paths)
 
 
 def cost_curve(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     """Cost versus tolerance for all four estimators on one hierarchy."""
     outdir = Path(outdir or cfg["output"])
-    hier = build_hierarchy_from_config(cfg)
+    hier, setup_seconds = _setup(cfg)
     ecfg = cfg["estimator"]
     rows, exp_rows = [], []
     sweeps = {}
@@ -552,7 +565,7 @@ def cost_curve(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     _write_csv(outdir / "cost_exponents.csv",
                ["method", "exponent", "warmup_cost", "states_fitted"], exp_rows)
     paths["cost_exponents"] = outdir / "cost_exponents.csv"
-    return _finish(outdir, cfg, hier, manifest, paths)
+    return _finish(outdir, cfg, hier, setup_seconds, manifest, paths)
 
 
 # -- entry point ----------------------------------------------------------------

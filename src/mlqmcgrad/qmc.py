@@ -204,30 +204,59 @@ def load_generating_vector(path: Union[str, Path], n_min: int = 8,
     Lines hold either a single integer or an "index value" pair (the
     published lattice files use the two-column form); lines starting
     with '#' are comments.  Two-column entries must arrive in index
-    order starting at 1.
+    order starting at 1.  Entries are unsigned decimal integers of at
+    most 18 digits, and words are separated by ASCII whitespace.  An
+    error names the first line at fault.
+
+    The file is parsed in one vectorized pass over its bytes: a word is
+    a run of non-whitespace, its line is one past the newlines before
+    it, and its value is formed from its right-aligned digits.
     """
-    entries = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                entries.append(int(parts[0]))
-            elif len(parts) == 2:
-                idx, val = int(parts[0]), int(parts[1])
-                if idx != len(entries) + 1:
-                    raise ValueError(
-                        f"{path}:{lineno}: index {idx}, expected {len(entries) + 1}")
-                entries.append(val)
-            else:
-                raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns")
-    if not entries:
+    with open(path, "rb") as fh:
+        raw = np.frombuffer(fh.read(), dtype=np.uint8)
+    # whitespace as bytes.split() sees it, padded on both ends: the
+    # difference is -1 where a word starts and 1 just past its end
+    gap = np.ones(raw.size + 2, dtype=np.int8)
+    gap[1:-1] = (raw == 32) | ((raw >= 9) & (raw <= 13))
+    edge = np.diff(gap)
+    starts, stops = np.flatnonzero(edge < 0), np.flatnonzero(edge > 0)
+    line = np.searchsorted(np.flatnonzero(raw == 10), starts) + 1
+    head = np.diff(line, prepend=0) > 0            # first word of its line
+    # a line whose first word starts with '#' drops out whole
+    keep = (raw[starts[head]] != ord("#"))[np.cumsum(head) - 1]
+    starts, stops, line, head = starts[keep], stops[keep], line[keep], head[keep]
+    if not starts.size:
         raise ValueError(f"{path}: no generating vector entries found")
+
+    # the last 19 bytes of each word, right-aligned; one more than an
+    # entry may have, so an overlong word shows
+    width = int(min((stops - starts).max(), 19))
+    at = stops[:, None] - np.arange(width, 0, -1)
+    pad = at < starts[:, None]
+    digits = raw[np.maximum(at, 0)].astype(np.int64) - ord("0")
+    digits[pad] = 0
+    bad_word = ((digits < 0) | (digits > 9)).any(axis=1) | (stops - starts > 18)
+    value = digits @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+    first = np.flatnonzero(head)                   # per data line
+    ncols = np.diff(first, append=starts.size)
+    index = value[first]
+    bad_cols = ncols > 2
+    bad_int = np.logical_or.reduceat(bad_word, first)
+    bad_index = (ncols == 2) & (index != np.arange(1, first.size + 1))
+    bad = bad_cols | bad_int | bad_index
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"{path}:{line[first[k]]}"
+        if bad_cols[k]:
+            raise ValueError(f"{where}: expected 1 or 2 columns")
+        if bad_int[k]:
+            raise ValueError(f"{where}: expected unsigned decimal integers "
+                             f"of at most 18 digits")
+        raise ValueError(f"{where}: index {index[k]}, expected {k + 1}")
     return GeneratingVector(
-        entries=np.asarray(entries, dtype=np.int64),
-        n_min=n_min, n_max=n_max, loaded_prefix=len(entries))
+        entries=value[first + ncols - 1], n_min=n_min, n_max=n_max,
+        loaded_prefix=first.size)
 
 
 def default_generating_vector() -> GeneratingVector:

@@ -10,13 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import make_hierarchy
+from conftest import factor_row, make_hierarchy
 
 from mlqmcgrad import cli, estimators as est, fem, qmc
 from mlqmcgrad.circulant_field import (
     UniformGrid,
     build_embedding,
-    factor_row,
     restrict_to_coarse,
     sample_field,
 )

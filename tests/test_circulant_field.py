@@ -1,11 +1,14 @@
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import assign_inputs, factor_row, rewrite_cache_file
+from mlqmcgrad import circulant_field as cf, covariance
 from mlqmcgrad.covariance import MaternParams, MeanField, matern_cov
 from mlqmcgrad.circulant_field import (
     FieldRealization,
@@ -13,10 +16,8 @@ from mlqmcgrad.circulant_field import (
     NestingViolation,
     PaddingExhausted,
     UniformGrid,
-    assign_inputs,
     build_embedding,
     eval_field,
-    factor_row,
     interpolation_stencil,
     restrict_to_coarse,
     sample_field,
@@ -303,14 +304,155 @@ def traced(fn):
 P2_KERNEL = MaternParams(sigma2=0.1, lambda_c=1.0, nu=2.5)
 
 
-def test_embedding_build_memory():
+def test_embedding_build_memory(embedding_cache):
     # problem 2's level 4: s = 2^18; the build keeps 4 + 8 bytes per input
-    # (32-bit slot, amplitude) and peaks below three times that
+    # (32-bit slot, amplitude) and peaks below three times that, writing
+    # to the cache included
     emb, kept, peak = traced(lambda: build_embedding(P2_KERNEL, UniformGrid(2, 17)))
-    assert emb.s == 2**18
+    assert emb.s == 2**18 and not emb.from_cache
+    assert len(list(embedding_cache.iterdir())) == 1
     assert emb._spec_pos.itemsize == 4
     assert kept <= (emb._spec_pos.itemsize + 8) * emb.s + 2**16
     assert peak <= 3 * kept
+
+
+# -- the disk cache of Matern embeddings ----------------------------------------
+
+
+def assert_same_embedding(a, b):
+    for name in ("grid", "ext_per_axis", "s", "clamped", "kernel", "dct_screens",
+                 "fftn_calls"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("_spec_pos", "_spec_amp"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kernel, grid", [
+    (P1_KERNEL, UniformGrid(2, 9)), (P2_KERNEL, UniformGrid(2, 5)),
+    (P2_KERNEL, UniformGrid(1, 9)), (P1_KERNEL, UniformGrid(3, 3))])
+def test_cache_hit_equals_build_bitwise(embedding_cache, kernel, grid):
+    built = build_embedding(kernel, grid)
+    loaded = build_embedding(kernel, grid)
+    assert (built.from_cache, loaded.from_cache) == (False, True)
+    assert_same_embedding(built, loaded)
+    # the lazily computed properties come from the kernel, as on a build
+    assert loaded.eigenvalues.tobytes() == built.eigenvalues.tobytes()
+    assert np.array_equal(loaded.importance_order, built.importance_order)
+    y = np.random.default_rng(3).standard_normal(built.s)
+    zbar = mean_values(built, 0.2)
+    assert sample_field(loaded, zbar, y).values.tobytes() == \
+        sample_field(built, zbar, y).values.tobytes()
+    assert len(list(embedding_cache.iterdir())) == 1
+
+
+def test_cache_hit_memory():
+    # a hit keeps what a build keeps; the spectrum-sized block it frees
+    # is traced at its full size, though never touched
+    build_embedding(P2_KERNEL, UniformGrid(2, 17))
+    emb, kept, peak = traced(lambda: build_embedding(P2_KERNEL, UniformGrid(2, 17)))
+    assert emb.from_cache
+    assert kept <= 12 * emb.s + 2**16
+    assert peak <= kept + 16 * emb.s + 2**16
+
+
+@pytest.mark.parametrize("change", [
+    dict(kernel=MaternParams(0.1, 1.0, 1.5)),
+    dict(kernel=MaternParams(0.2, 1.0, 0.5)),
+    dict(kernel=MaternParams(0.1, 0.5, 0.5)),
+    dict(grid=UniformGrid(2, 9)),
+    dict(grid=UniformGrid(1, 5)),
+    dict(tol=1e-12),
+    dict(max_attempts=11),
+])
+def test_cache_misses_on_any_changed_argument(embedding_cache, change):
+    args = dict(kernel=P1_KERNEL, grid=UniformGrid(2, 5), tol=1e-13, max_attempts=12)
+    build_embedding(**args)
+    args.update(change)
+    emb = build_embedding(**args)
+    assert not emb.from_cache
+    assert len(list(embedding_cache.iterdir())) == 2
+    assert build_embedding(**args).from_cache
+
+
+@pytest.mark.parametrize("module", [cf, covariance])
+def test_cache_misses_when_source_changes(embedding_cache, tmp_path, monkeypatch, module):
+    grid = UniformGrid(2, 5)
+    build_embedding(P1_KERNEL, grid)
+    edited = tmp_path / Path(module.__file__).name
+    edited.write_bytes(Path(module.__file__).read_bytes() + b"# edited\n")
+    monkeypatch.setattr(module, "__file__", str(edited))
+    assert not build_embedding(P1_KERNEL, grid).from_cache
+    assert len(list(embedding_cache.iterdir())) == 2
+
+
+def test_callable_kernels_are_not_cached(embedding_cache):
+    kernel = lambda d: 0.1 * np.exp(-d)      # noqa: E731
+    for _ in range(2):
+        assert not build_embedding(kernel, UniformGrid(2, 5)).from_cache
+    assert not embedding_cache.exists()
+
+
+def test_cache_directory_follows_xdg(monkeypatch, tmp_path):
+    args = (P1_KERNEL, UniformGrid(2, 3), 1e-13, 12)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert cf._cache_file(*args).parent == tmp_path / "mlqmcgrad"
+    for unset in ("", "relative/dir"):
+        monkeypatch.setenv("XDG_CACHE_HOME", unset)
+        assert cf._cache_file(*args).parent == Path.home() / ".cache" / "mlqmcgrad"
+
+
+CORRUPTIONS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[:-100]),
+    "header only": lambda p: p.write_bytes(p.read_bytes()[:60]),
+    "empty": lambda p: p.write_bytes(b""),
+    "garbage": lambda p: p.write_bytes(np.random.default_rng(0).bytes(4096)),
+    "short amplitudes": lambda p: rewrite_cache_file(p, amp=lambda a: a[:-1]),
+    "2-d amplitudes": lambda p: rewrite_cache_file(p, amp=lambda a: a.reshape(-1, 2)),
+    "float32 amplitudes": lambda p: rewrite_cache_file(p, amp=lambda a: a.astype(np.float32)),
+    "int64 slots": lambda p: rewrite_cache_file(p, pos=lambda a: a.astype(np.int64)),
+    "slot out of range": lambda p: rewrite_cache_file(p, pos=lambda a: a + 2**20),
+    "negative slot": lambda p: rewrite_cache_file(p, pos=lambda a: a - 1),
+    "wrong s": lambda p: rewrite_cache_file(p, meta=lambda m: m * [1, 2, 1, 1, 1]),
+    "wrong ext": lambda p: rewrite_cache_file(p, meta=lambda m: m // [2, 4, 1, 1, 1]),
+    "a directory": lambda p: (p.unlink(), p.mkdir()),
+}
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+def test_invalid_cache_file_is_rebuilt(embedding_cache, corrupt):
+    grid = UniformGrid(2, 9)
+    built = build_embedding(P2_KERNEL, grid)
+    (path,) = embedding_cache.iterdir()
+    CORRUPTIONS[corrupt](path)
+    again = build_embedding(P2_KERNEL, grid)
+    assert not again.from_cache
+    assert_same_embedding(again, built)
+    if corrupt != "a directory":     # the rebuilt embedding replaced the file
+        assert build_embedding(P2_KERNEL, grid).from_cache
+
+
+def test_unwritable_cache_directory_still_builds(monkeypatch, tmp_path):
+    # a regular file where the cache directory should be: no write can
+    # succeed, whoever runs the test
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    grid = UniformGrid(2, 5)
+    embs = [build_embedding(P1_KERNEL, grid) for _ in range(2)]
+    assert [e.from_cache for e in embs] == [False, False]
+    assert_same_embedding(*embs)
+    assert blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
+
+
+def test_cache_write_leaves_no_temp_file(embedding_cache, monkeypatch):
+    # a write that fails midway removes its temp file; the build stands
+    def failing_save(fh, arr):
+        fh.write(b"partial")
+        raise OSError("disk full")
+    monkeypatch.setattr(np, "save", failing_save)
+    emb = build_embedding(P1_KERNEL, UniformGrid(2, 5))
+    assert not emb.from_cache and list(embedding_cache.iterdir()) == []
 
 
 def reference_sample_field(e, zbar, y):

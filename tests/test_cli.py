@@ -1,16 +1,19 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import rewrite_cache_file
 from hypothesis import given, settings, strategies as st
 
 import mlqmcgrad
@@ -275,6 +278,61 @@ class TestTimingLedger:
         assert [r["dct_screens"] for r in rows] == [1, 3, 4, 4]
         assert [r["fftn_calls"] for r in rows] == [1] * 4
         assert "embeddings" not in (out / "manifest.json").read_text()
+
+
+class TestEmbeddingCache:
+    def run(self, tmp_path, name):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(TINY))
+        out = tmp_path / name
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfgp), "--out", str(out)])
+        return code, err.getvalue(), out, json.loads((out / "timing.json").read_text())
+
+    def test_second_run_loads_every_level(self, tmp_path, embedding_cache):
+        code, err, first, timing = self.run(tmp_path, "a")
+        assert code == 0 and err == ""
+        assert [r["from_cache"] for r in timing["embeddings"]] == [False, False]
+        assert 0 < timing["setup_seconds"] < 60
+        code, err, second, timing = self.run(tmp_path, "b")
+        assert code == 0 and err == ""
+        assert [r["from_cache"] for r in timing["embeddings"]] == [True, True]
+        assert timing["setup_seconds"] > 0
+        for name in ("manifest.json", "gradient.txt", "gradient.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        text = (second / "manifest.json").read_text()
+        assert "from_cache" not in text and "setup_seconds" not in text
+        # the run wrote nothing but its outputs and the cache
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c.json"]
+        assert len(list(embedding_cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p.write_bytes(p.read_bytes()[:-9]),
+        lambda p: rewrite_cache_file(p, amp=lambda a: a[:-1]),
+        lambda p: rewrite_cache_file(p, amp=lambda a: a.astype(np.float32)),
+    ], ids=["truncated", "shape", "dtype"])
+    def test_bad_cache_file_rebuilds(self, tmp_path, embedding_cache, corrupt):
+        _, _, first, _ = self.run(tmp_path, "a")
+        for path in embedding_cache.iterdir():
+            corrupt(path)
+        code, err, second, timing = self.run(tmp_path, "b")
+        assert code == 0 and err == ""
+        assert [r["from_cache"] for r in timing["embeddings"]] == [False, False]
+        assert (first / "manifest.json").read_bytes() == \
+            (second / "manifest.json").read_bytes()
+
+    def test_unwritable_cache_directory(self, tmp_path, monkeypatch):
+        # a file where the cache directory should be: no write can succeed,
+        # whoever runs the test
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for name in ("a", "b"):
+            code, err, _, timing = self.run(tmp_path, name)
+            assert code == 0 and err == ""
+            assert [r["from_cache"] for r in timing["embeddings"]] == [False, False]
+        assert blocker.read_text() == ""
 
 
 class TestDeterminism:
@@ -546,6 +604,46 @@ def test_any_bad_config_value_exits_2(data, key):
         err = err.getvalue()
         assert err.startswith("config error:") and "Traceback" not in err
         assert (name or sec) in err
+        assert not out.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def warmup_cost(method):
+    """Model cost of the warm-up samples alone, for the exit-3 config."""
+    cfg = RunConfig.from_dict(cli._deep_merge(TINY, {"estimator": {"method": method}}))
+    return cli.estimator_sweep(cli.build_hierarchy_from_config(cfg), method,
+                               [1.0], None).warmup_cost
+
+
+# runs the solver or the allocation must give up on, each as a config overlay
+EXIT_3_CASES = st.one_of(
+    # exp(Z) overflows to inf, or underflows to 0, somewhere on the mesh
+    st.floats(1e6, 1e100).map(lambda v: {"problem": {"sigma2": v}}),
+    st.one_of(st.floats(710.0, 1e100), st.floats(-1e100, -750.0)).map(
+        lambda v: {"problem": {"mean": v}}),
+    # a cost cap below what the warm-up alone costs
+    st.tuples(st.sampled_from(cli.estimators.METHODS),
+              st.floats(1e-6, 0.999)).map(lambda mf: {"estimator": {
+                  "method": mf[0], "cost_cap": mf[1] * warmup_cost(mf[0])}}),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(overlay=EXIT_3_CASES, seed=st.integers(0, 2**31 - 1))
+def test_any_solver_or_allocation_failure_exits_3(overlay, seed):
+    raw = cli._deep_merge(dict(TINY, seed=seed), overlay)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp, out = Path(tmp, "c.json"), Path(tmp, "o")
+        cfgp.write_text(json.dumps(raw))
+        err = io.StringIO()
+        # exp's overflow warning is printed in a CLI process; here it is
+        # ignored, not raised as the test configuration would
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 3
+        err = err.getvalue()
+        assert err.splitlines()[-1].startswith("run failed:")
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -29,8 +29,11 @@ def test_fem_takes_only_nesting_violation_from_circulant_field():
 
 def test_test_only_helpers_live_in_the_tests():
     # reference forms that no package code calls are oracles in the tests
-    from mlqmcgrad import fem, qmc
+    from mlqmcgrad import circulant_field, fem, qmc
     for owner, name in ((qmc, "lattice_point"), (qmc, "radical_inverse"),
-                        (qmc, "to_normal"), (fem.FeLevel, "eval_function")):
+                        (qmc, "to_normal"), (fem.FeLevel, "eval_function"),
+                        (circulant_field, "factor_row"),
+                        (circulant_field, "assign_inputs"),
+                        (mlqmcgrad, "factor_row")):
         assert not hasattr(owner, name)
         assert name not in getattr(owner, "__all__", ())

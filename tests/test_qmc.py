@@ -1,4 +1,5 @@
 import math
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc, ndtri
 
-from mlqmcgrad.circulant_field import UniformGrid, assign_inputs, build_embedding
+from conftest import assign_inputs
+from mlqmcgrad.circulant_field import UniformGrid, build_embedding
 from mlqmcgrad.covariance import MaternParams
 from mlqmcgrad import qmc
 from mlqmcgrad.qmc import (
@@ -28,6 +30,30 @@ def gv(entries, **kw):
 
 
 # -- oracles: reference forms that the package itself does not use ------------
+
+
+def reference_load(path):
+    """The entries of a generating-vector file, parsed line by line."""
+    entries = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) == 1:
+                entries.append(int(parts[0]))
+            elif len(parts) == 2:
+                idx, val = int(parts[0]), int(parts[1])
+                if idx != len(entries) + 1:
+                    raise ValueError(
+                        f"{path}:{lineno}: index {idx}, expected {len(entries) + 1}")
+                entries.append(val)
+            else:
+                raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns")
+    if not entries:
+        raise ValueError(f"{path}: no generating vector entries found")
+    return entries
 
 
 def lattice_point(gv: GeneratingVector, N: int, i: int,
@@ -502,6 +528,41 @@ class TestFileLoading:
         z = load_generating_vector(p)
         assert np.array_equal(z.entries, [11, 13, 17])
 
+    @pytest.mark.parametrize("text", [
+        "# header\n  # indented comment\n1 7\n2\t9\r\n\n3   11  \n",
+        "5\n\n  17\n# note 1 2 3\n0019\n",
+        "1 3\n5\n3 7\n",                     # the forms mixed
+        "123456789012345678\n",                # 18 digits, the widest entry
+        "7",                                   # no final newline
+    ])
+    def test_entries_equal_line_by_line_parse(self, tmp_path, text):
+        p = tmp_path / "vec.txt"
+        p.write_bytes(text.encode())
+        z = load_generating_vector(p, n_max=2**62)
+        expected = reference_load(p)
+        assert z.entries.tolist() == expected and z.loaded_prefix == len(expected)
+
+    def test_packaged_file_equals_line_by_line_parse(self):
+        z = default_generating_vector()
+        assert z.entries.tolist() == reference_load(qmc._DATA_FILE)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 101\n3 305\n", 2, "index 3, expected 2"),
+        ("# c\n\n1 101\n2 203 7\n", 4, "expected 1 or 2 columns"),
+        ("1 5\n2 x\n", 2, "expected unsigned decimal integers"),
+        ("3\n-5\n", 2, "expected unsigned decimal integers"),
+        ("1234567890123456789\n", 1, "expected unsigned decimal integers"),
+        # the first line at fault decides, whatever its fault
+        ("1 1\n2 3 4\n9 9\n", 2, "expected 1 or 2 columns"),
+        ("1 1\n9 9\n2 3 4\n", 2, "index 9, expected 2"),
+    ])
+    def test_error_names_first_bad_line(self, tmp_path, text, line, message):
+        p = tmp_path / "vec.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_generating_vector(p, n_max=2**62)
+        assert str(err.value).startswith(f"{p}:{line}: {message}")
+
     def test_bad_index_order(self, tmp_path):
         p = tmp_path / "vec.txt"
         p.write_text("1 101\n3 305\n")
@@ -513,6 +574,49 @@ class TestFileLoading:
         p.write_text("# nothing\n")
         with pytest.raises(ValueError):
             load_generating_vector(p)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n", "# a\n  # b 1 2\n"])
+    def test_file_without_entries_says_so(self, tmp_path, text):
+        p = tmp_path / "vec.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{p}: no generating vector entries"):
+            load_generating_vector(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.one_of(
+        st.tuples(st.just("comment"), st.text("# xyz19", max_size=6)),
+        st.tuples(st.just("blank"), st.text(" \t", max_size=3)),
+        st.tuples(st.just("entry"), st.integers(1, 10**9), st.booleans(),
+                  st.integers(-1, 1), st.sampled_from([" ", "\t", "  "])),
+        st.tuples(st.just("wide"), st.integers(1, 9), st.integers(3, 4))),
+        max_size=12))
+    def test_any_file_parses_as_line_by_line(self, lines):
+        # entries and error lines agree with the line-by-line parse
+        text, count = [], 0
+        for kind, *args in lines:
+            if kind == "comment":
+                text.append("#" + args[0])
+            elif kind == "blank":
+                text.append(args[0])
+            elif kind == "entry":
+                value, indexed, off, sep = args
+                count += 1
+                text.append(f"{count + off}{sep}{value}" if indexed else f" {value} ")
+            else:
+                text.append(" ".join([str(args[0])] * args[1]))
+                count += 1
+        with tempfile.TemporaryDirectory() as tmp:
+            p = f"{tmp}/vec.txt"
+            with open(p, "w") as fh:
+                fh.write("\n".join(text))
+            try:
+                expected = reference_load(p)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    load_generating_vector(p, n_max=2**62)
+                assert str(err.value) == str(exc)
+            else:
+                assert load_generating_vector(p, n_max=2**62).entries.tolist() == expected
 
     def test_default_vector_loads(self):
         z = default_generating_vector()
