@@ -31,7 +31,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Tuple
 
@@ -87,6 +87,56 @@ _DEFAULTS = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_from(lo: int):
+    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+
+
+_POSITIVE = (lambda v: _is_number(v) and v > 0), "a number > 0"
+_OBJECT = (lambda v: isinstance(v, dict)), "an object"
+
+# (section, key) -> (accepts, what it must be) for every value of
+# _DEFAULTS, key None for a top-level one; RunConfig._validate adds the
+# checks that span several values
+_RULES = {
+    ("problem", "sigma2"): _POSITIVE, ("problem", "lambda_c"): _POSITIVE,
+    ("problem", "nu"): _POSITIVE,
+    ("problem", "mean"): ((lambda v: _is_number(v) and np.isfinite(v)),
+                          "a finite number"),
+    ("geometry", "L"): ((lambda v: _is_int(v) and 0 <= v <= MAX_LEVELS),
+                        f"an integer in [0, {MAX_LEVELS}]"),
+    ("geometry", "fe_offset"): _int_from(1), ("geometry", "ce_offset"): _int_from(0),
+    ("geometry", "ce_tol"): ((lambda v: _is_number(v) and v >= 0), "a number >= 0"),
+    ("qmc", "generating_vector"): ((lambda v: v is None or isinstance(v, str)),
+                                   "null or a path"),
+    ("qmc", "R"): _int_from(2), ("qmc", "n_min"): _int_from(1),
+    ("qmc", "n_max"): _int_from(1),
+    ("estimator", "method"): ((lambda v: v in estimators.METHODS),
+                              f"one of {estimators.METHODS}"),
+    ("estimator", "eps"): ((lambda v: isinstance(v, list) and len(v) > 0
+                            and all(_is_number(e) and e > 0 for e in v)),
+                           "a non-empty list of numbers > 0"),
+    ("estimator", "cost_cap"): _POSITIVE, ("estimator", "kappa"): _POSITIVE,
+    ("estimator", "warmup_qmc"): _int_from(1),
+    ("estimator", "warmup_mc"): ((lambda v: v is None or (_is_int(v) and v >= 2)),
+                                 "null or an integer >= 2"),
+    ("objective", "g"): _OBJECT, ("objective", "z"): _OBJECT,
+    ("objective", "alpha"): _POSITIVE,
+    ("variance_study", "n_exp_min"): _int_from(0),
+    ("variance_study", "n_exp_max"): _int_from(0),
+    ("variance_study", "fit_n_exp_min"): _int_from(0),
+    ("output", None): ((lambda v: isinstance(v, str)), "a path"),
+    ("seed", None): _int_from(0),
+}
+
+
 class ConfigError(ValueError):
     """Invalid or unreadable run configuration."""
 
@@ -101,24 +151,18 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _require(ok: bool, where: str, what: str, value):
-    if not ok:
-        raise ConfigError(f"{where} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Normalized run configuration (defaults filled in)."""
+    """Normalized run configuration (defaults filled in), with the lattice
+    vector read from the file ``qmc.generating_vector`` names, if any."""
 
     data: dict
+    base_vector: Optional[qmc.GeneratingVector] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # frozen, so the vector that validation read is set past __setattr__
+        object.__setattr__(self, "base_vector", self._validate(self.data))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -132,87 +176,50 @@ class RunConfig:
         # field specs g and z stay free-form
         for sec, val in raw.items():
             if isinstance(_DEFAULTS[sec], dict):
-                _require(isinstance(val, dict), sec, "an object", val)
+                if not isinstance(val, dict):
+                    raise ConfigError(f"{sec} must be an object, got {val!r}")
                 unknown = set(val) - set(_DEFAULTS[sec])
                 if unknown:
                     raise ConfigError(f"unknown keys in {sec}: {sorted(unknown)}")
-        data = _deep_merge(_DEFAULTS, raw)
-        cls._validate(data)
-        return cls(data=data)
+        return cls(_deep_merge(_DEFAULTS, raw))
 
     @staticmethod
-    def _validate(data: dict):
-        ints = {  # (section, key): smallest allowed value
-            ("geometry", "L"): 0, ("geometry", "fe_offset"): 1,
-            ("geometry", "ce_offset"): 0, ("qmc", "R"): 2, ("qmc", "n_min"): 1,
-            ("qmc", "n_max"): 1, ("estimator", "warmup_qmc"): 1,
-            ("variance_study", "n_exp_min"): 0, ("variance_study", "n_exp_max"): 0,
-            ("variance_study", "fit_n_exp_min"): 0,
-        }
-        for (sec, key), lo in ints.items():
-            v = data[sec][key]
-            _require(_is_int(v) and v >= lo, f"{sec}.{key}", f"an integer >= {lo}", v)
-        positive = (("problem", "sigma2"), ("problem", "lambda_c"), ("problem", "nu"),
-                    ("estimator", "cost_cap"), ("estimator", "kappa"),
-                    ("objective", "alpha"))
-        for sec, key in positive:
-            v = data[sec][key]
-            _require(_is_number(v) and v > 0, f"{sec}.{key}", "a number > 0", v)
-        geo, est_cfg, obj = data["geometry"], data["estimator"], data["objective"]
-        if geo["L"] > MAX_LEVELS:
-            raise ConfigError(f"L must be in [0, {MAX_LEVELS}], got {geo['L']}")
+    def _validate(data: dict) -> Optional[qmc.GeneratingVector]:
+        """Check ``data`` against ``_RULES`` and across values; return the
+        generating vector read from the file it names, if any."""
+        for (sec, key), (accepts, what) in _RULES.items():
+            value = data[sec] if key is None else data[sec][key]
+            if not accepts(value):
+                where = sec if key is None else f"{sec}.{key}"
+                raise ConfigError(f"{where} must be {what}, got {value!r}")
+        geo, qcfg, vs_cfg = data["geometry"], data["qmc"], data["variance_study"]
         if geo["fe_offset"] + geo["L"] > MAX_FE_EXPONENT:
             raise ConfigError(
                 f"geometry.fe_offset + L must be <= {MAX_FE_EXPONENT} (finest mesh "
                 f"at most {2 ** MAX_FE_EXPONENT + 1} nodes per axis), "
                 f"got {geo['fe_offset']} + {geo['L']}")
-        if data["qmc"]["n_max"] < data["qmc"]["n_min"]:
+        if qcfg["n_max"] < qcfg["n_min"]:
             raise ConfigError("qmc.n_max must be >= qmc.n_min")
-        vs_cfg = data["variance_study"]
         if vs_cfg["n_exp_max"] < vs_cfg["n_exp_min"]:
             raise ConfigError("variance_study.n_exp_max must be >= n_exp_min")
-        _require(_is_number(geo["ce_tol"]) and geo["ce_tol"] >= 0,
-                 "geometry.ce_tol", "a number >= 0", geo["ce_tol"])
-        mean = data["problem"]["mean"]
-        _require(_is_number(mean) and np.isfinite(mean), "problem.mean",
-                 "a finite number", mean)
-        warmup_mc = est_cfg["warmup_mc"]
-        _require(warmup_mc is None or (_is_int(warmup_mc) and warmup_mc >= 2),
-                 "estimator.warmup_mc", "null or an integer >= 2", warmup_mc)
-        eps = est_cfg["eps"]
-        if not isinstance(eps, list) or not eps \
-                or not all(_is_number(e) and e > 0 for e in eps):
-            raise ConfigError("estimator.eps must be positive values")
+        eps = data["estimator"]["eps"]
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ConfigError("estimator.eps must be strictly descending")
-        if est_cfg["method"] not in estimators.METHODS:
-            raise ConfigError(
-                f"estimator.method must be one of {estimators.METHODS}")
         for key in ("g", "z"):
-            _require(isinstance(obj[key], dict), f"objective.{key}", "an object",
-                     obj[key])
             try:
-                make_field_function(obj[key])
+                make_field_function(data["objective"][key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"objective.{key}: {exc}") from None
-        gv = data["qmc"]["generating_vector"]
-        _require(gv is None or isinstance(gv, str), "qmc.generating_vector",
-                 "null or a path", gv)
-        if gv:
-            try:
-                qmc.load_generating_vector(gv, n_min=data["qmc"]["n_min"],
-                                           n_max=data["qmc"]["n_max"])
-            except (OSError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"qmc.generating_vector: {exc}") from None
-        _require(_is_int(data["seed"]) and data["seed"] >= 0, "seed",
-                 "an integer >= 0", data["seed"])
-        _require(isinstance(data["output"], str), "output", "a path", data["output"])
+        if not qcfg["generating_vector"]:
+            return None
+        try:
+            return qmc.load_generating_vector(qcfg["generating_vector"],
+                                              n_min=qcfg["n_min"], n_max=qcfg["n_max"])
+        except (OSError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"qmc.generating_vector: {exc}") from None
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True)
 
     @property
     def config_hash(self) -> str:
@@ -299,31 +306,21 @@ def build_hierarchy_from_config(cfg: RunConfig) -> LevelHierarchy:
         z=make_field_function(obj["z"]),
         alpha=obj["alpha"],
     )
-    if qcfg["generating_vector"]:
-        base = qmc.load_generating_vector(
-            qcfg["generating_vector"], n_min=qcfg["n_min"], n_max=qcfg["n_max"])
-    else:
-        base = qmc.default_generating_vector()
+    # a configured vector was read by validation; without one the
+    # hierarchy reads the packaged vector, as part of the set-up
     return LevelHierarchy(
         kernel, mean, objective, geo["L"],
         fe_offset=geo["fe_offset"], ce_offset=geo["ce_offset"],
         R=qcfg["R"], master_seed=cfg["seed"], kappa=ecfg["kappa"],
-        base_vector=base, ce_tol=geo["ce_tol"],
+        base_vector=cfg.base_vector, ce_tol=geo["ce_tol"],
         warmup_qmc=ecfg["warmup_qmc"], warmup_mc=ecfg["warmup_mc"],
     )
-
-
-def _setup(cfg: RunConfig) -> Tuple[LevelHierarchy, float]:
-    """The hierarchy of ``cfg`` and the seconds its set-up took."""
-    t0 = time.perf_counter()
-    hier = build_hierarchy_from_config(cfg)
-    return hier, time.perf_counter() - t0
 
 
 # -- atomic artifact writers ---------------------------------------------------
 
 
-def _atomic_write(path: Path, write_fn: Callable[[io.TextIOBase], None]):
+def _atomic_write(path: Path, write_fn: Callable[[io.TextIOBase], None]) -> Path:
     """Write via a temp file in the same directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -335,14 +332,15 @@ def _atomic_write(path: Path, write_fn: Callable[[io.TextIOBase], None]):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return path
 
 
-def _write_json(path: Path, obj: dict):
-    _atomic_write(path, lambda fh: fh.write(json.dumps(obj, indent=2,
-                                                       sort_keys=True) + "\n"))
+def _write_json(path: Path, obj: dict) -> Path:
+    return _atomic_write(path, lambda fh: fh.write(json.dumps(obj, indent=2,
+                                                              sort_keys=True) + "\n"))
 
 
-def _write_csv(path: Path, header: list, rows: list):
+def _write_csv(path: Path, header: list, rows: list) -> Path:
     def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -350,11 +348,11 @@ def _write_csv(path: Path, header: list, rows: list):
             writer.writerow([repr(float(v)) if isinstance(v, float) else v
                              for v in row])
 
-    _atomic_write(path, write)
+    return _atomic_write(path, write)
 
 
 def _write_gradient(outdir: Path, hier: LevelHierarchy,
-                    grad: estimators.GradientEstimate):
+                    grad: estimators.GradientEstimate) -> Tuple[Path, Path]:
     """gradient.txt and gradient.csv, each value as its shortest round-trip
     ``repr``; the csv keeps ``csv.writer``'s \\r\\n line ends."""
     lev = hier.fe_levels[grad.gradient.level]
@@ -363,27 +361,10 @@ def _write_gradient(outdir: Path, hier: LevelHierarchy,
     txt = ("# gradient field dump: nodal values, row-major\n"
            f"d 2\nnodes_per_axis {lev.nodes_per_axis}\n"
            f"level {grad.gradient.level}\n" + "\n".join(values) + "\n")
-    _atomic_write(outdir / "gradient.txt", lambda fh: fh.write(txt))
     rows = "".join(f"{x},{y},{v}\r\n" for x, y, v in zip(x1, x2, values))
-    _atomic_write(outdir / "gradient.csv", lambda fh: fh.write("x1,x2,value\r\n" + rows))
-
-
-@dataclass
-class RunArtifacts:
-    """Paths of everything a driver wrote, plus the in-memory results."""
-
-    outdir: Path
-    manifest: dict
-    paths: dict
-
-
-def _base_manifest(cfg: RunConfig) -> dict:
-    return {
-        "package_version": __version__,
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash,
-        "seed": cfg["seed"],
-    }
+    return (_atomic_write(outdir / "gradient.txt", lambda fh: fh.write(txt)),
+            _atomic_write(outdir / "gradient.csv",
+                          lambda fh: fh.write("x1,x2,value\r\n" + rows)))
 
 
 def _environment() -> dict:
@@ -412,36 +393,70 @@ def _environment() -> dict:
     }
 
 
-def _finish(outdir: Path, cfg: RunConfig, hier: LevelHierarchy, setup_seconds: float,
-            manifest: dict, paths: dict, allocation=None,
-            coupled: bool = True) -> RunArtifacts:
-    _write_json(outdir / "manifest.json", manifest)
-    paths["manifest"] = outdir / "manifest.json"
-    ledger = estimators.cost_ledger(hier, allocation, coupled)
-    ledger["openblas_num_threads"] = OPENBLAS_NUM_THREADS
-    ledger["environment"] = _environment()
-    # process high-water marks, after set-up and after the whole run
-    ledger["peak_rss_mb_setup"] = hier.setup_peak_rss_mb
-    ledger["peak_rss_mb_run"] = estimators.peak_rss_mb()
-    ledger["setup_seconds"] = setup_seconds
-    # from_cache: loaded from the embedding cache (the counters are then
-    # those of the build that stored it)
-    ledger["embeddings"] = [
-        {"level": ell, "ext": e.ext_per_axis, "s": e.s, "clamped": e.clamped,
-         "dct_screens": e.dct_screens, "fftn_calls": e.fftn_calls,
-         "from_cache": e.from_cache}
-        for ell, e in enumerate(hier.embeddings)]
-    _write_json(outdir / "timing.json", ledger)
-    paths["timing"] = outdir / "timing.json"
-    rows = [(r["level"], float(r["ce_seconds_mean"]), float(r["fe_seconds_mean"]),
-             r["correction"]) for r in ledger["levels"]]
-    _write_csv(outdir / "level_cost.csv",
-               ["level", "ce_seconds", "fe_seconds", "correction"], rows)
-    paths["level_cost"] = outdir / "level_cost.csv"
-    return RunArtifacts(outdir=outdir, manifest=manifest, paths=paths)
-
-
 # -- drivers --------------------------------------------------------------------
+
+
+@dataclass
+class RunArtifacts:
+    """Paths of everything a driver wrote, plus the in-memory results."""
+
+    outdir: Path
+    manifest: dict
+    paths: dict
+
+
+class _Study:
+    """The frame of every driver.
+
+    Construction checks the output directory before any work, builds the
+    hierarchy (``setup_seconds`` times it) and starts the manifest.  The
+    driver adds its results to ``manifest`` and its files to ``paths``,
+    then ``finish`` writes ``manifest.json``, ``timing.json`` and
+    ``level_cost.csv``.
+    """
+
+    def __init__(self, cfg: RunConfig, outdir: Optional[Path]):
+        # the output path must be a directory or lie below one; nothing is
+        # created here, so a run that fails leaves no directory behind
+        self.outdir = probe = Path(outdir or cfg["output"])
+        while not os.path.lexists(probe):
+            probe = probe.parent
+        if not probe.is_dir():
+            raise ConfigError(f"output {self.outdir}: {probe} is not a directory")
+        t0 = time.perf_counter()
+        self.hier = build_hierarchy_from_config(cfg)
+        self.setup_seconds = time.perf_counter() - t0
+        self.manifest = {"package_version": __version__, "config": cfg.to_dict(),
+                         "config_hash": cfg.config_hash, "seed": cfg["seed"]}
+        self.paths: dict = {}
+
+    def write_csv(self, name: str, header: list, rows: list):
+        self.paths[name] = _write_csv(self.outdir / f"{name}.csv", header, rows)
+
+    def finish(self, allocation=None, coupled: bool = True) -> RunArtifacts:
+        """Write the manifest and the timing ledger of ``allocation``
+        (final ``(level, R, N)`` rows; None for every sample timed)."""
+        self.paths["manifest"] = _write_json(self.outdir / "manifest.json", self.manifest)
+        ledger = estimators.cost_ledger(self.hier, allocation, coupled)
+        ledger["openblas_num_threads"] = OPENBLAS_NUM_THREADS
+        ledger["environment"] = _environment()
+        # process high-water marks, after set-up and after the whole run
+        ledger["peak_rss_mb_setup"] = self.hier.setup_peak_rss_mb
+        ledger["peak_rss_mb_run"] = estimators.peak_rss_mb()
+        ledger["setup_seconds"] = self.setup_seconds
+        # from_cache: loaded from the embedding cache (the counters are then
+        # those of the build that stored it)
+        ledger["embeddings"] = [
+            {"level": ell, "ext": e.ext_per_axis, "s": e.s, "clamped": e.clamped,
+             "dct_screens": e.dct_screens, "fftn_calls": e.fftn_calls,
+             "from_cache": e.from_cache}
+            for ell, e in enumerate(self.hier.embeddings)]
+        self.paths["timing"] = _write_json(self.outdir / "timing.json", ledger)
+        self.write_csv("level_cost", ["level", "ce_seconds", "fe_seconds", "correction"],
+                       [(r["level"], float(r["ce_seconds_mean"]),
+                         float(r["fe_seconds_mean"]), r["correction"])
+                        for r in ledger["levels"]])
+        return RunArtifacts(outdir=self.outdir, manifest=self.manifest, paths=self.paths)
 
 
 def _sweep_rows(sweep: estimators.SweepResult) -> list:
@@ -458,21 +473,14 @@ def _allocation(sweep: estimators.SweepResult) -> list:
 
 def run_experiment(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     """Run the configured estimator over its tolerance sweep."""
-    outdir = Path(outdir or cfg["output"])
-    hier, setup_seconds = _setup(cfg)
+    study = _Study(cfg, outdir)
     ecfg = cfg["estimator"]
-    sweep = estimator_sweep(hier, ecfg["method"], ecfg["eps"], ecfg["cost_cap"])
-    manifest = _base_manifest(cfg)
-    manifest["method"] = ecfg["method"]
-    manifest["warmup_cost"] = sweep.warmup_cost
-    manifest["sweep"] = _sweep_rows(sweep)
-    manifest["final"] = sweep.gradient.manifest
-    paths = {}
-    _write_gradient(outdir, hier, sweep.gradient)
-    paths["gradient_txt"] = outdir / "gradient.txt"
-    paths["gradient_csv"] = outdir / "gradient.csv"
-    return _finish(outdir, cfg, hier, setup_seconds, manifest, paths,
-                   _allocation(sweep), sweep.coupled)
+    sweep = estimator_sweep(study.hier, ecfg["method"], ecfg["eps"], ecfg["cost_cap"])
+    study.manifest.update(method=ecfg["method"], warmup_cost=sweep.warmup_cost,
+                          sweep=_sweep_rows(sweep), final=sweep.gradient.manifest)
+    study.paths["gradient_txt"], study.paths["gradient_csv"] = _write_gradient(
+        study.outdir, study.hier, sweep.gradient)
+    return study.finish(_allocation(sweep), sweep.coupled)
 
 
 def _loglog_slope_or_reason(x: list, y: list, name: str):
@@ -491,8 +499,8 @@ def variance_study(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
     N in the configured dyadic range, plus fitted per-level slopes and
     the norm of the estimated level corrections.
     """
-    outdir = Path(outdir or cfg["output"])
-    hier, setup_seconds = _setup(cfg)
+    study = _Study(cfg, outdir)
+    hier = study.hier
     vs_cfg = cfg["variance_study"]
     n_lo, n_hi = vs_cfg["n_exp_min"], vs_cfg["n_exp_max"]
     fit_lo = vs_cfg["fit_n_exp_min"]
@@ -516,56 +524,46 @@ def variance_study(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifact
         corr_norms[ell] = corr
         slope_rows.append((ell, slope, corr, reason))
 
-    manifest = _base_manifest(cfg)
-    manifest["study"] = "variance_decay"
-    manifest["slopes"] = {str(row[0]): row[1] for row in slope_rows}
-    manifest["corr_norms"] = {str(row[0]): row[2] for row in slope_rows}
+    study.manifest["study"] = "variance_decay"
+    study.manifest["slopes"] = {str(row[0]): row[1] for row in slope_rows}
+    study.manifest["corr_norms"] = {str(row[0]): row[2] for row in slope_rows}
     if hier.L >= 2:
         # decay exponent of the correction mean, reported but not asserted
         hs = [hier.fe_levels[ell].h for ell in range(1, hier.L + 1)]
-        manifest["rho_fitted"] = _loglog_slope_or_reason(
+        study.manifest["rho_fitted"] = _loglog_slope_or_reason(
             hs, [corr_norms[ell] for ell in range(1, hier.L + 1)], "corr_norm")[0]
-    paths = {}
-    _write_csv(outdir / "variance_decay.csv", ["level", "N", "R_V"], rows)
-    paths["variance_decay"] = outdir / "variance_decay.csv"
-    _write_csv(outdir / "variance_slopes.csv",
-               ["level", "slope", "corr_norm", "reason"], slope_rows)
-    paths["variance_slopes"] = outdir / "variance_slopes.csv"
-    return _finish(outdir, cfg, hier, setup_seconds, manifest, paths)
+    study.write_csv("variance_decay", ["level", "N", "R_V"], rows)
+    study.write_csv("variance_slopes", ["level", "slope", "corr_norm", "reason"],
+                    slope_rows)
+    return study.finish()
 
 
 def cost_curve(cfg: RunConfig, outdir: Optional[Path] = None) -> RunArtifacts:
     """Cost versus tolerance for all four estimators on one hierarchy."""
-    outdir = Path(outdir or cfg["output"])
-    hier, setup_seconds = _setup(cfg)
+    study = _Study(cfg, outdir)
     ecfg = cfg["estimator"]
     rows, exp_rows = [], []
     sweeps = {}
     for method in estimators.METHODS:
-        sweep = estimator_sweep(hier, method, ecfg["eps"], ecfg["cost_cap"])
+        sweep = estimator_sweep(study.hier, method, ecfg["eps"], ecfg["cost_cap"])
         sweeps[method] = sweep
         final = _allocation(sweep)
         for p in sweep.points:
             # each row's measured cost from that row's own allocation
             alloc = [(level, R, N) for (level, R, _), N in zip(final, p.N)]
-            measured = estimators.measured_cost(hier, alloc, sweep.coupled)
+            measured = estimators.measured_cost(study.hier, alloc, sweep.coupled)
             rows.append((method, p.eps, p.rmse, p.cost, measured))
         exp_rows.append((method, sweep.exponent, sweep.warmup_cost,
                          len(sweep.fit_states)))
 
-    manifest = _base_manifest(cfg)
-    manifest["study"] = "cost_curve"
-    manifest["exponents"] = {row[0]: row[1] for row in exp_rows}
-    manifest["sweeps"] = {m: _sweep_rows(sweep) for m, sweep in sweeps.items()}
-    paths = {}
-    _write_csv(outdir / "cost_curve.csv",
-               ["method", "eps", "rmse", "cost_model_normalized",
-                "cost_measured_normalized"], rows)
-    paths["cost_curve"] = outdir / "cost_curve.csv"
-    _write_csv(outdir / "cost_exponents.csv",
-               ["method", "exponent", "warmup_cost", "states_fitted"], exp_rows)
-    paths["cost_exponents"] = outdir / "cost_exponents.csv"
-    return _finish(outdir, cfg, hier, setup_seconds, manifest, paths)
+    study.manifest["study"] = "cost_curve"
+    study.manifest["exponents"] = {row[0]: row[1] for row in exp_rows}
+    study.manifest["sweeps"] = {m: _sweep_rows(sweep) for m, sweep in sweeps.items()}
+    study.write_csv("cost_curve", ["method", "eps", "rmse", "cost_model_normalized",
+                                   "cost_measured_normalized"], rows)
+    study.write_csv("cost_exponents",
+                    ["method", "exponent", "warmup_cost", "states_fitted"], exp_rows)
+    return study.finish()
 
 
 # -- entry point ----------------------------------------------------------------
@@ -603,12 +601,11 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.preset, args.seed)
+        outdir = args.out or os.environ.get("MLQMCGRAD_OUT") or cfg["output"]
+        artifacts = _COMMANDS[args.command](cfg, Path(outdir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = args.out or os.environ.get("MLQMCGRAD_OUT") or cfg["output"]
-    try:
-        artifacts = _COMMANDS[args.command](cfg, Path(outdir))
     except (SolverDiverged, BudgetExceeded, PaddingExhausted) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3

@@ -110,7 +110,7 @@ class LevelHierarchy:
                  fe_offset: int = 2, ce_offset: int = 0, R: int = 10,
                  master_seed: int = 0, kappa: float = 2.5,
                  base_vector: Optional[qmc.GeneratingVector] = None,
-                 ce_tol: float = 1e-13, solver_rtol: float = 1e-10,
+                 ce_tol: float = 1e-13,
                  warmup_qmc: int = 2, warmup_mc: Optional[int] = None):
         if L < 0:
             raise ValueError("L must be >= 0")
@@ -121,7 +121,6 @@ class LevelHierarchy:
         self.R = R
         self.master_seed = master_seed
         self.kappa = kappa
-        self.solver_rtol = solver_rtol
         self.warmup_qmc = warmup_qmc
         # default MC warm-up matches the QMC warm-up effort (R shifts of
         # warmup_qmc points each), so method comparisons start from equal
@@ -180,7 +179,7 @@ def adjoint_solution(hier: LevelHierarchy, ell: int,
     values come through ``hier.stencils[ell]``."""
     lev = hier.fe_levels[ell]
     a_elem = eval_field(field, hier.stencils[ell])
-    ops = OperatorSet(lev, a_elem, rtol=hier.solver_rtol)
+    ops = OperatorSet(lev, a_elem)
     u = ops.solve(hier._b_z[ell])
     u_quad = lev._quad_eval @ u.nodal_values
     b_adj = fem.assemble_load(lev, u_quad - hier._g_quad[ell])
@@ -337,7 +336,7 @@ class McLevelAccumulator(_LevelAccumulator):
         self.sum_dev = np.zeros(M)
         self.sum_dev2 = np.zeros(M)
 
-    def _evaluate(self, r: int, k: int) -> np.ndarray:
+    def _evaluate(self, k: int) -> np.ndarray:
         rng = qmc.shift_rng(self.hier.master_seed, self.stream, self.level, k)
         s = self.hier.embeddings[self.level].s
         return coupled_sample(self.hier, self.level, rng.standard_normal(s),
@@ -346,7 +345,7 @@ class McLevelAccumulator(_LevelAccumulator):
     def refine(self):
         n_new = self.warmup if self.N == 0 else 2 * self.N
         for k in range(self.N, n_new):
-            vals = self._evaluate(0, k)
+            vals = self._evaluate(k)
             if self._ref is None:
                 self._ref = vals.copy()
             dev = vals - self._ref

@@ -340,17 +340,11 @@ def assemble_stiffness(lev: FeLevel, a: Union[np.ndarray, float]) -> sp.csr_matr
     return A
 
 
-def assemble_load(lev: FeLevel, fq: np.ndarray,
-                  zero_boundary: bool = True) -> np.ndarray:
-    """Load vector with the edge-midpoint quadrature rule.
-
-    ``fq`` holds the load's values at ``lev.quad_points``.  Dirichlet
-    rows are zeroed unless ``zero_boundary`` is False (used by
-    partition-of-unity checks).
-    """
+def assemble_load(lev: FeLevel, fq: np.ndarray) -> np.ndarray:
+    """Load vector with the edge-midpoint quadrature rule, Dirichlet rows
+    zeroed; ``fq`` holds the load's values at ``lev.quad_points``."""
     b = lev._load_op @ fq
-    if zero_boundary:
-        b[lev.boundary_mask] = 0.0
+    b[lev.boundary_mask] = 0.0
     return b
 
 

@@ -38,15 +38,6 @@ def hier2():
     return make_hierarchy(L=2, seed=321)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _session_embedding_cache(tmp_path_factory):
-    """Session- and module-scoped fixtures build embeddings before any
-    test's own fixture runs: their cache lives in a session directory."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        yield
-
-
 @pytest.fixture(autouse=True)
 def embedding_cache(tmp_path_factory, monkeypatch):
     """Each test starts from an empty embedding cache of its own, so no

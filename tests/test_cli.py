@@ -44,7 +44,7 @@ class TestConfig:
 
     def test_round_trip_identity(self):
         cfg = RunConfig.from_dict(TINY)
-        again = RunConfig.from_dict(json.loads(cfg.to_json()))
+        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert cfg.to_dict() == again.to_dict()
         assert cfg.config_hash == again.config_hash
 
@@ -523,6 +523,55 @@ class TestMainEntry:
             assert (outs["dump-gradient"] / name).read_bytes() == \
                 (outs["run"] / name).read_bytes()
 
+    @pytest.mark.parametrize("command, via", [
+        ("run", "--out"), ("run", "MLQMCGRAD_OUT"), ("run", "output"),
+        ("variance-study", "--out"), ("cost-curve", "--out")])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+    def test_unusable_output_path_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, via, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        out = blocker / "o" if below else blocker
+        built = []
+
+        def build(cfg):
+            built.append(cfg)
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(cli, "build_hierarchy_from_config", build)
+        monkeypatch.delenv("MLQMCGRAD_OUT", raising=False)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(dict(TINY, output=str(out)) if via == "output" else TINY))
+        argv = [command, "--config", str(cfgp)]
+        if via == "--out":
+            argv += ["--out", str(out)]
+        elif via == "MLQMCGRAD_OUT":
+            monkeypatch.setenv("MLQMCGRAD_OUT", str(out))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(blocker) in err
+        assert "Traceback" not in err
+        assert built == [] and blocker.read_text() == "x"
+
+    def test_vector_file_read_once(self, tmp_path, monkeypatch):
+        vec = tmp_path / "v.txt"
+        vec.write_text("1\n3\n5\n7\n")
+        load, calls = cli.qmc.load_generating_vector, []
+
+        def spy(path, *args, **kwargs):
+            calls.append(path)
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli.qmc, "load_generating_vector", spy)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(cli._deep_merge(
+            TINY, {"qmc": {"generating_vector": str(vec)}})))
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+        assert calls == [str(vec)]
+        # the hierarchy runs on the vector validation read
+        hier = cli.build_hierarchy_from_config(load_config(cfgp))
+        assert [v.entries[:4].tolist() for v in hier.vectors] == [[1, 3, 5, 7]] * 2
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(TINY))
@@ -586,6 +635,15 @@ BAD_VALUES = {
     ("seed", None): _not_int(0),
     ("output", None): st.one_of(st.integers(), st.none(), st.lists(st.integers(), max_size=2)),
 }
+
+
+def test_every_config_value_has_a_rule_and_bad_values():
+    # the field specs objective.g and objective.z are leaves: their
+    # contents are free-form
+    leaves = {(sec, key) for sec, val in cli._DEFAULTS.items()
+              for key in (val if isinstance(val, dict) else [None])}
+    assert set(cli._RULES) == leaves
+    assert set(BAD_VALUES) == leaves
 
 
 @settings(max_examples=300, deadline=None)

@@ -478,7 +478,9 @@ class TestCostLedger:
         assert est.measured_cost(hier, [(1, 2, 3)], coupled=True) == 6.0
 
     def test_measured_cost_monotone_in_level(self):
-        hier = make_hierarchy(L=2, seed=17)
+        # 17^2, 33^2 and 65^2 meshes: adjacent levels differ about fivefold
+        # in sample time, far beyond what machine load reorders
+        hier = make_hierarchy(L=2, seed=17, fe_offset=4)
         for ell in range(3):
             qmc_level(hier, ell, N=16, R=2)
         ledger = est.cost_ledger(hier)

@@ -48,9 +48,9 @@ def at_centroids(lev, fld):
     return eval_field(fld, interpolation_stencil(fld.grid, lev.centroids))
 
 
-def load(lev, f, **kwargs):
+def load(lev, f):
     """Load vector of the callable ``f``, evaluated at the quadrature points."""
-    return fem.assemble_load(lev, f(lev.quad_points), **kwargs)
+    return fem.assemble_load(lev, f(lev.quad_points))
 
 
 def eval_p1(lev, f, x):
@@ -270,7 +270,8 @@ class TestLoad:
         assert np.all(b == 0.0)
 
     def test_partition_of_unity(self, levels):
-        b = load(levels[1], lambda x: np.ones(x.shape[0]), zero_boundary=False)
+        lev = levels[1]
+        b = lev._load_op @ np.ones(lev.quad_points.shape[0])
         assert b.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_indicator_area(self, levels):
@@ -282,7 +283,7 @@ class TestLoad:
             return np.where(inside > 1e-12, 1.0,
                             np.where(inside < -1e-12, 0.0, 0.5))
 
-        b = load(levels[2], g, zero_boundary=False)
+        b = levels[2]._load_op @ g(levels[2].quad_points)
         assert abs(b.sum() - 0.25) < 0.02
 
     def test_dirichlet_rows_zeroed(self, levels):
