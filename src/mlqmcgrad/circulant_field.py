@@ -162,11 +162,15 @@ class CirculantEmbedding:
 
 @dataclass
 class FieldRealization:
-    """Lognormal field values on a uniform grid: a = exp(Z), node-exact."""
+    """Lognormal field values on a uniform grid: a = exp(Z), node-exact.
+
+    A block of B realizations carries a leading sample axis: its arrays
+    have shape (B,) + (n,)*d.
+    """
 
     level: int
     grid: UniformGrid
-    log_values: np.ndarray   # shape (n,)*d
+    log_values: np.ndarray   # shape (n,)*d, or (B,) + (n,)*d for a block
     values: np.ndarray       # exp(log_values), same shape
 
 
@@ -559,7 +563,7 @@ def _load(path: Path, kernel: MaternParams, grid: UniformGrid) -> CirculantEmbed
 
 def _check_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    if y.shape != (e.s,):
+    if y.ndim not in (1, 2) or y.shape[-1] != e.s:
         raise ValueError(f"expected input of length s={e.s}, got {y.shape}")
     return y
 
@@ -577,6 +581,10 @@ def sample_field(e: CirculantEmbedding, zbar: np.ndarray, y: np.ndarray,
     half spectrum is the one s-sized array it allocates: the scatter
     runs in blocks and the leading-axis FFTs overwrite the spectrum.
 
+    ``y`` of shape (B, s) draws a block of B fields, with one spectrum
+    per sample and every stage run once over the block; each field is
+    bitwise the one its row draws alone.
+
     ``zbar`` holds the mean log-field's values at ``e.grid.points()``
     (C-ordered, any shape with that many entries), as ``MeanField.at``
     returns them; a hierarchy evaluates them once per level.
@@ -584,19 +592,25 @@ def sample_field(e: CirculantEmbedding, zbar: np.ndarray, y: np.ndarray,
     y = _check_inputs(e, y)
     dim, ext = e.grid.dim, e.ext_per_axis
     n = e.grid.points_per_axis
+    lead = y.shape[:-1]                    # () or (B,)
     # frequency axes in reverse order, see _spectrum_map
     spec_shape = (ext // 2 + 1,) + (ext,) * (dim - 1)
-    spec = np.zeros(2 * math.prod(spec_shape))
+    spec = np.zeros(lead + (2 * math.prod(spec_shape),))
     for a in range(0, e.s, _BLOCK):
-        # intp indices take numpy's fast scatter; a block keeps them small
+        # intp indices take numpy's fast scatter; a block keeps them small.
+        # Indexing the transposes scatters along the slot axis, and is
+        # numpy's 1-D fast path when there is no sample axis
         block = slice(a, a + _BLOCK)
-        spec[e._spec_pos[block].astype(np.intp)] = e._spec_amp[block] * y[block]
-    z = spec.view(complex).reshape(spec_shape)
-    for ax in range(dim - 1, 0, -1):
+        spec.T[e._spec_pos[block].astype(np.intp)] = (e._spec_amp[block] * y[..., block]).T
+    z = spec.view(complex).reshape(lead + spec_shape)
+    first = len(lead)                      # the first frequency axis
+    for ax in range(first + dim - 1, first, -1):
         z = np.fft.ifft(z, axis=ax, out=z)[(slice(None),) * ax + (slice(n),)]
-    z = np.fft.irfft(z, n=ext, axis=0)[:n]
+    z = np.fft.irfft(z, n=ext, axis=first)[(slice(None),) * first + (slice(n),)]
 
-    log_vals = np.ascontiguousarray(z.T)
+    # the spatial axes back in forward order, behind the sample axis
+    log_vals = np.ascontiguousarray(
+        z.transpose(tuple(range(first)) + tuple(range(z.ndim - 1, first - 1, -1))))
     log_vals += np.reshape(zbar, (n,) * dim)
     return FieldRealization(level=level, grid=e.grid,
                             log_values=log_vals, values=np.exp(log_vals))
@@ -660,17 +674,22 @@ def eval_field(f: FieldRealization, st: Stencil) -> np.ndarray:
 
     ``st`` must be built for ``f.grid`` (else ValueError).  The
     interpolation is a convex combination of the 2^d surrounding vertex
-    values, exact at grid nodes; values stay inside the nodal range.
+    values, exact at grid nodes; values stay inside the nodal range.  A
+    block of fields gives one row of values per sample.
     """
     if st.grid != f.grid:
         raise ValueError(f"stencil built for {st.grid}, field lives on {f.grid}")
-    terms = f.values.ravel()[st.index]
-    terms *= st.weight
+    lead = f.values.shape[:f.values.ndim - f.grid.dim]
+    # gathered node-major, a row of B values per grid node for a block of
+    # B fields (numpy's 1-D fast path for one field), and returned as a
+    # (B, npts) view of that layout
+    terms = f.values.reshape(lead + (-1,)).T[st.index]
+    terms *= st.weight.reshape(st.weight.shape + (1,) * len(lead))
     # one corner at a time from zero, in a fixed (ascending) corner order
-    out = np.zeros(terms.shape[1])
+    out = np.zeros(terms.shape[1:])
     for term in terms:
         out += term
-    return out
+    return out.T
 
 
 def restrict_to_coarse(f: FieldRealization, coarse: UniformGrid) -> FieldRealization:
@@ -678,7 +697,8 @@ def restrict_to_coarse(f: FieldRealization, coarse: UniformGrid) -> FieldRealiza
 
     The restricted realization keeps the fine field's nodal values (both
     a and log a) at the coarse nodes bitwise; evaluation in between uses
-    coarse-cell multilinear interpolation.
+    coarse-cell multilinear interpolation.  A block of fields is
+    restricted in one slice over its spatial axes.
     """
     if coarse.dim != f.grid.dim:
         raise NestingViolation("coarse grid dimension differs")
@@ -688,7 +708,7 @@ def restrict_to_coarse(f: FieldRealization, coarse: UniformGrid) -> FieldRealiza
             f"coarse grid ({nc} per axis) is not nested in fine grid ({nf} per axis)"
         )
     stride = (nf - 1) // (nc - 1)
-    sl = (slice(None, None, stride),) * f.grid.dim
+    sl = (Ellipsis,) + (slice(None, None, stride),) * f.grid.dim
     return FieldRealization(
         level=f.level - 1,
         grid=coarse,

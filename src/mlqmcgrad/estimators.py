@@ -13,6 +13,14 @@ contributions exceed eps^2, double N at the level with the largest
 V_l / (N_l C_l).  Costs entering the allocation are the deterministic
 model costs h_l^-kappa so that identical configurations reproduce
 identical allocations; wall-clock times are recorded separately.
+
+A refinement evaluates its new samples in blocks, each one
+``coupled_sample`` call whose stages run once over a leading sample
+axis, and adds them to the sums one by one in sample order.  Blocks are
+sized by ``_block_size``: no block plans more bytes than one sample of
+the finest level, and samples of at least 2^16 inputs run one at a
+time.  Each sample's values are bitwise those it gives alone, so the
+outputs do not depend on the block sizes.
 """
 from __future__ import annotations
 
@@ -88,10 +96,15 @@ def peak_rss_mb() -> Optional[float]:
 
 @dataclass
 class _LevelTiming:
+    """One level's ledger: per ``coupled_sample`` call, its seconds
+    (``totals``) and its seconds per sample (``per_sample``)."""
+
     samples: int = 0
+    calls: int = 0
     ce_seconds: float = 0.0
     fe_seconds: float = 0.0
     totals: List[float] = dfield(default_factory=list)
+    per_sample: List[float] = dfield(default_factory=list)
 
 
 class LevelHierarchy:
@@ -164,26 +177,31 @@ class LevelHierarchy:
         self.timing: Dict[Tuple[int, bool], _LevelTiming] = {}
         self.setup_peak_rss_mb = peak_rss_mb()
 
-    def record_timing(self, level: int, correction: bool, ce: float, fe: float):
+    def record_timing(self, level: int, correction: bool, ce: float, fe: float,
+                      samples: int = 1):
+        """Enter one ``coupled_sample`` call of ``samples`` samples."""
         t = self.timing.setdefault((level, correction), _LevelTiming())
-        t.samples += 1
+        t.samples += samples
+        t.calls += 1
         t.ce_seconds += ce
         t.fe_seconds += fe
         t.totals.append(ce + fe)
+        t.per_sample.append((ce + fe) / samples)
 
 
 def adjoint_solution(hier: LevelHierarchy, ell: int,
                      field: FieldRealization) -> FeFunction:
     """State + adjoint solve at FE level ``ell`` for a field on
     ``hier.ce_grids[ell]`` (ValueError for another grid), whose centroid
-    values come through ``hier.stencils[ell]``."""
+    values come through ``hier.stencils[ell]``; a block of fields gives
+    a block of adjoints."""
     lev = hier.fe_levels[ell]
     a_elem = eval_field(field, hier.stencils[ell])
     ops = OperatorSet(lev, a_elem)
     u = ops.solve(hier._b_z[ell])
-    u_quad = lev._quad_eval @ u.nodal_values
-    b_adj = fem.assemble_load(lev, u_quad - hier._g_quad[ell])
-    return ops.solve(b_adj)
+    u_quad = lev.quad_values(u.nodal_values)
+    u_quad -= hier._g_quad[ell]
+    return ops.solve(fem.assemble_load(lev, u_quad))
 
 
 def coupled_sample(hier: LevelHierarchy, ell: int, y: np.ndarray,
@@ -194,6 +212,11 @@ def coupled_sample(hier: LevelHierarchy, ell: int, y: np.ndarray,
     use the same level-``ell`` field realization; the coarse term sees
     its restriction to the coarser CE grid.  With ``coupled=False`` the
     plain level-``ell`` adjoint is returned (single-level estimators).
+
+    ``y`` of shape (B, s_ell) evaluates a block of B samples, every
+    stage once over the block, and returns their nodal values as (B, M)
+    rows, each bitwise the sample its row gives alone.  The call enters
+    the timing ledger once, with its sample count.
     """
     t0 = time.perf_counter()
     try:
@@ -219,11 +242,62 @@ def coupled_sample(hier: LevelHierarchy, ell: int, y: np.ndarray,
     except fem.SolverDiverged as exc:
         raise fem.SolverDiverged(f"level {ell}: {exc}") from exc
     t2 = time.perf_counter()
-    hier.record_timing(ell, correction, t1 - t0, t2 - t1)
+    hier.record_timing(ell, correction, t1 - t0, t2 - t1,
+                       q_fine.nodal_values.size // hier.fe_levels[ell].num_nodes)
     return q_fine
 
 
 # -- level accumulators --------------------------------------------------------
+
+# The sampling stages already run in chunks of this many inputs (the
+# normal map and the spectrum fill), so a sample with at least that many
+# has no per-call overhead left to share: such samples run one per block.
+_BLOCK_INPUTS = 2**16
+
+
+def _sample_bytes(hier: LevelHierarchy, level: int, correction: bool) -> int:
+    """Bytes of the sample-sized arrays one sample of a block plans for.
+
+    Its lattice point (integer and float), normals and half spectrum,
+    8 bytes per entry; then on each FE level it solves on (the coarser
+    one too for a correction) its band factor, its stiffness data and
+    their block-diagonal indices, the stencil terms and values of its
+    coefficient (5 per triangle), its quadrature values (9 per
+    triangle) and the nodal vectors of its loads, solutions and
+    residuals (6 per node), 8 bytes each.
+    """
+    emb = hier.embeddings[level]
+    spectrum = 2 * (emb.ext_per_axis // 2 + 1) * emb.ext_per_axis ** (emb.grid.dim - 1)
+    total = 8 * (3 * emb.s + spectrum)
+    for lev in hier.fe_levels[level - correction:level + 1]:
+        band = lev.interior.size * (lev._band_kd + 1)
+        total += 8 * (band + 2 * lev.mass.nnz + 14 * lev.num_triangles
+                      + 6 * lev.num_nodes)
+    return total
+
+
+def _block_size(hier: LevelHierarchy, level: int, coupled: bool) -> int:
+    """Samples per block of a refinement at ``level``: as many as hold no
+    more bytes (``_sample_bytes``) than one sample of the finest level,
+    and no more than ``_BLOCK_INPUTS`` inputs; at least one."""
+    finest = _sample_bytes(hier, hier.L, coupled and hier.L > 0)
+    fit = finest // _sample_bytes(hier, level, coupled and level > 0)
+    return max(1, min(fit, _BLOCK_INPUTS // hier.embeddings[level].s))
+
+
+def _balanced(count: int, block: int) -> int:
+    """The step that covers ``count`` samples with the fewest blocks of
+    at most ``block``, n of them, each of ceil(count / n) samples but the
+    last, which is short by less than n: a short last block costs more
+    per sample than the others."""
+    return -(-count // -(-count // block))
+
+
+def _one_or_block(k: np.ndarray):
+    """Sample indices as a block evaluates them: a block of one runs as
+    a single sample, whose stages index 1-D arrays (numpy's fastest
+    path for the large samples that run one at a time)."""
+    return k if k.size > 1 else int(k[0])
 
 
 def _model_cost(hier: LevelHierarchy, level: int, coupled: bool) -> float:
@@ -241,7 +315,10 @@ class _LevelAccumulator:
 
     ``refine()`` doubles N; its first call takes N to ``warmup``.  With
     ``coupled`` a level above 0 samples the correction q_l - q_{l-1},
-    whose model cost covers both solves.
+    whose model cost covers both solves.  A refinement evaluates its new
+    samples in blocks of ``block`` (see ``_block_size``), each one
+    ``coupled_sample`` call, and adds them to the sums one at a time in
+    sample order, so the sums do not depend on the block size.
     """
 
     R = 1
@@ -253,6 +330,7 @@ class _LevelAccumulator:
         self.coupled = coupled
         self.N = 0
         self.warmup = warmup
+        self.block = _block_size(hier, level, coupled)
 
     @property
     def C(self) -> float:
@@ -283,23 +361,36 @@ class QmcLevelAccumulator(_LevelAccumulator):
         M = hier.fe_levels[level].num_nodes
         self.sums = np.zeros((R, M))
 
-    def _evaluate(self, shift: np.ndarray, k: int) -> np.ndarray:
-        # neither the cube point nor the normals are bound to a name here,
+    def _evaluate(self, delta: np.ndarray, k) -> np.ndarray:
+        # neither the cube points nor the normals are bound to a name here,
         # so each is freed as soon as it is spent (see coupled_sample)
-        return coupled_sample(
+        return np.reshape(coupled_sample(
             self.hier, self.level,
-            qmc.cube_to_normal(qmc.sequence_point(self.gv, k, shift)),
-            self.coupled).nodal_values
+            qmc.cube_to_normal(qmc.sequence_point(self.gv, k, delta)),
+            self.coupled).nodal_values, (np.size(k), -1))
 
     def refine(self):
-        # shifts are drawn again on every refinement, one at a time: keeping
-        # all R of them would hold 8 R s bytes per level for the whole run
-        n_new = self.warmup if self.N == 0 else 2 * self.N
+        # The new (shift, k) pairs run in blocks, shift-major.  Shifts are
+        # drawn again on every refinement, one at a time, and a block keeps
+        # only the shifts it reaches: keeping all R of them would hold
+        # 8 R s bytes per level for the whole run.
+        n_old = self.N
+        n_new = self.warmup if n_old == 0 else 2 * n_old
+        pairs = self.R * (n_new - n_old)
         shifts = qmc.make_shift_set(self.hier.master_seed, self.level, self.R,
                                     self.hier.embeddings[self.level].s)
-        for r, shift in enumerate(shifts):
-            for k in range(self.N, n_new):
-                self.sums[r] += self._evaluate(shift, k)
+        held, first = [], 0                 # shifts first, first + 1, ...
+        step = _balanced(pairs, self.block)
+        for start in range(0, pairs, step):
+            rows, k = np.divmod(np.arange(start, min(start + step, pairs)),
+                                n_new - n_old)
+            del held[:rows[0] - first]      # spent before the next is drawn
+            first = rows[0]
+            while first + len(held) <= rows[-1]:
+                held.append(next(shifts))
+            delta = held[0] if len(held) == 1 else np.stack(held)[rows - first]
+            for r, vals in zip(rows, self._evaluate(delta, _one_or_block(k + n_old))):
+                self.sums[r] += vals
         self.N = n_new
 
     def per_shift_means(self) -> np.ndarray:
@@ -336,21 +427,30 @@ class McLevelAccumulator(_LevelAccumulator):
         self.sum_dev = np.zeros(M)
         self.sum_dev2 = np.zeros(M)
 
-    def _evaluate(self, k: int) -> np.ndarray:
-        rng = qmc.shift_rng(self.hier.master_seed, self.stream, self.level, k)
-        s = self.hier.embeddings[self.level].s
-        return coupled_sample(self.hier, self.level, rng.standard_normal(s),
-                              self.coupled).nodal_values
+    def _normals(self, k) -> np.ndarray:
+        """Row i: the normals of sample k[i], from its own keyed stream."""
+        y = np.empty(np.shape(k) + (self.hier.embeddings[self.level].s,))
+        for i, row in zip(np.atleast_1d(k), y.reshape(-1, y.shape[-1])):
+            qmc.shift_rng(self.hier.master_seed, self.stream, self.level,
+                          i).standard_normal(out=row)
+        return y
+
+    def _evaluate(self, k) -> np.ndarray:
+        # the normals are not bound to a name here (see coupled_sample)
+        return np.reshape(coupled_sample(self.hier, self.level, self._normals(k),
+                                         self.coupled).nodal_values, (np.size(k), -1))
 
     def refine(self):
         n_new = self.warmup if self.N == 0 else 2 * self.N
-        for k in range(self.N, n_new):
-            vals = self._evaluate(k)
-            if self._ref is None:
-                self._ref = vals.copy()
-            dev = vals - self._ref
-            self.sum_dev += dev
-            self.sum_dev2 += dev**2
+        step = _balanced(n_new - self.N, self.block)
+        for start in range(self.N, n_new, step):
+            for vals in self._evaluate(
+                    _one_or_block(np.arange(start, min(start + step, n_new)))):
+                if self._ref is None:
+                    self._ref = vals.copy()
+                dev = vals - self._ref
+                self.sum_dev += dev
+                self.sum_dev2 += dev**2
         self.N = n_new
 
     @property
@@ -534,9 +634,14 @@ def estimator_sweep(hier: LevelHierarchy, method: str, eps_list: Sequence[float]
 # -- cost accounting and fits --------------------------------------------------
 
 
-def _median_seconds(hier: LevelHierarchy, level: int, correction: bool) -> float:
+def _median_seconds(hier: LevelHierarchy, level: int, correction: bool,
+                    per_sample: bool = True) -> float:
+    """Median over a level's ``coupled_sample`` calls of their seconds per
+    sample, or with ``per_sample=False`` of their seconds."""
     t = hier.timing.get((level, correction))
-    return float(np.median(t.totals)) if t else np.nan
+    if not t:
+        return np.nan
+    return float(np.median(t.per_sample if per_sample else t.totals))
 
 
 def measured_cost(hier: LevelHierarchy, allocation: Sequence[Tuple[int, int, int]],
@@ -545,8 +650,9 @@ def measured_cost(hier: LevelHierarchy, allocation: Sequence[Tuple[int, int, int
 
     ``allocation`` rows are (level, R, N); a level above 0 samples the
     correction q_l - q_{l-1} when ``coupled``, else plain q_l.  Each row
-    costs R * N median sample times of its own kind, and the sum is
-    divided by the median time of one finest-level sample of that kind.
+    costs R * N median sample times of its own kind (per sample of the
+    blocks its level ran), and the sum is divided by the median time of
+    one finest-level sample of that kind.
     The model cost counts plain finest-level samples, of which a
     correction costs C_L = 1 + 2^-kappa (about 1.18), so when ``coupled``
     it is C_L times the measured cost even where the model is exact.
@@ -573,6 +679,13 @@ def cost_ledger(hier: LevelHierarchy,
     measured counterpart of the model's kappa: minus the log-log slope of
     the run kind's median sample time against h, positive when cost
     grows as the mesh refines.
+
+    A row's ``calls`` counts its ``coupled_sample`` calls (one per block)
+    and ``samples`` their samples; ``ce_seconds_mean`` and
+    ``fe_seconds_mean`` are seconds per sample.  ``total_seconds_median``
+    is the median seconds of one call, and ``sample_seconds_median`` the
+    median over calls of their seconds per sample, which the measured
+    costs and ``kappa_measured`` use.
     """
     def row(ell: int, correction: bool) -> dict:
         t = hier.timing.get((ell, correction), _LevelTiming())
@@ -580,14 +693,16 @@ def cost_ledger(hier: LevelHierarchy,
             "level": ell,
             "correction": correction,
             "samples": t.samples,
+            "calls": t.calls,
             "ce_seconds_mean": t.ce_seconds / t.samples if t.samples else np.nan,
             "fe_seconds_mean": t.fe_seconds / t.samples if t.samples else np.nan,
-            "total_seconds_median": _median_seconds(hier, ell, correction),
+            "total_seconds_median": _median_seconds(hier, ell, correction, False),
+            "sample_seconds_median": _median_seconds(hier, ell, correction),
         }
 
     kinds = [coupled and ell > 0 for ell in range(hier.L + 1)]
     rows = [row(ell, kind) for ell, kind in enumerate(kinds)]
-    med = np.array([r["total_seconds_median"] for r in rows])
+    med = np.array([r["sample_seconds_median"] for r in rows])
     rows += [row(ell, not kind) for ell, kind in enumerate(kinds)
              if (ell, not kind) in hier.timing]
     out = {"levels": rows}

@@ -11,9 +11,10 @@ A level is built in closed form, by index arithmetic on the row-major
 (i, j) grid: node (i, j) couples with the 7-point stencil (i-1, j-1),
 (i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j), (i+1, j+1) that lies on
 the grid, which gives each CSR row its sorted columns; every sparse
-operator (stiffness pattern, load, quadrature evaluation, prolongation)
-is written straight in canonical CSR form with 32-bit indices, without
-sorting; the band positions follow from the pattern.  Stiffness assembly
+operator (stiffness pattern, load, prolongation) is written straight in
+canonical CSR form with 32-bit indices, without sorting; the band
+positions follow from the pattern, and evaluation at the quadrature
+points keeps each edge's two end nodes.  Stiffness assembly
 is one fixed sparse map G per level, from per-triangle coefficients to
 pattern entries: ``data = G @ a`` sums each entry's triangles in
 ascending order, as the scatter it replaced did.  Built this way, the
@@ -30,10 +31,16 @@ band matrix with half-bandwidth m + 1 for m interior nodes per axis, so
 it is factorized once per sampled field with LAPACK's banded Cholesky
 (``dpbtrf``), and the state and adjoint solves share the factor
 (``dpbtrs``).
+
+Assembly, loads, quadrature values, solves and prolongation also take a
+block of samples on a leading axis, each stage once over the block; only
+the factor and its solves run per sample, so every sample's result is
+bitwise the one it gives alone.
 """
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -67,7 +74,7 @@ class FeFunction:
     """Continuous piecewise-linear function given by nodal values."""
 
     level: int
-    nodal_values: np.ndarray  # length M = nodes_per_axis**2
+    nodal_values: np.ndarray  # length M = nodes_per_axis**2; (B, M) for a block
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,19 @@ class FeLevel:
 
         self._build_operators(self._build_triangles())
         self.prolongation: Optional[sp.csr_matrix] = None  # set by build_fe_level
+
+    def quad_values(self, nodal: np.ndarray) -> np.ndarray:
+        """Values of P1 functions at ``quad_points`` from their nodal
+        values, (M,) or a block (B, M): each edge midpoint takes
+        0.5 * (u[a] + u[b]) of its end nodes.  Halving is exact, so this
+        is bitwise the sparse product with two weights of 0.5 per row.
+        A block is gathered node-major, a row of B values per node, and
+        returned as a (B, 3 ntri) view of that layout."""
+        by_node = np.ascontiguousarray(nodal.T)
+        out = by_node[self._quad_ends[0]]
+        out += by_node[self._quad_ends[1]]
+        out *= 0.5
+        return out.T
 
     # -- mesh construction -------------------------------------------------
 
@@ -264,12 +284,13 @@ class FeLevel:
             (np.full(quad.size, self.tri_area / 3.0 * 0.5), quad,
              _indptr(grid["touched"])), shape=(M, 3 * ntri))
         # P1 evaluation at the quadrature points (for FE-function loads):
-        # the midpoint of edge e averages its two vertices
+        # the midpoint of edge e averages its two vertices.  Kept as the
+        # edges' end nodes, lower then upper, one row per end so that each
+        # end's gather reads one contiguous index array; ``intp``, as numpy
+        # would cast 32-bit indices on each use
         a, b = self.triangles, self.triangles[:, [1, 2, 0]]
-        ends = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1).ravel()
-        self._quad_eval = sp.csr_matrix(
-            (np.full(ends.size, 0.5), ends,
-             np.arange(0, ends.size + 1, 2, dtype=np.int32)), shape=(3 * ntri, M))
+        self._quad_ends = np.stack([np.minimum(a, b).ravel(),
+                                    np.maximum(a, b).ravel()]).astype(np.intp)
 
         # data positions of the lower triangle of the Dirichlet-eliminated
         # interior block, with their flat positions in a C-ordered
@@ -330,34 +351,69 @@ def assemble_stiffness(lev: FeLevel, a: Union[np.ndarray, float]) -> sp.csr_matr
     or is a constant.  Dirichlet elimination happens in the solver, not
     here.  The result always has the level's fixed CSR pattern, explicit
     zeros included.
+
+    A block of B coefficients, shape (B, ntri), gives the B matrices as
+    one block-diagonal matrix of shape (B M, B M), sample by sample; its
+    data are the columns of one product G @ a.T, each bitwise the data of
+    its sample alone.
     """
-    a_elem = np.broadcast_to(np.asarray(a, dtype=float), (lev.num_triangles,))
+    a = np.asarray(a, dtype=float)
+    lead = a.shape[:-1]
+    data = lev._stiffness_map @ np.broadcast_to(a, lead + (lev.num_triangles,)).T
     # the mass matrix has the same pattern: a shallow copy shares its index
     # arrays and takes data of its own, where the csr constructor would
     # re-check the format at more cost than the product on small levels
-    A = copy.copy(lev.mass)
-    A.data = lev._stiffness_map @ a_elem
-    return A
+    if not lead:
+        A = copy.copy(lev.mass)
+        A.data = data
+        return A
+    B, M, nnz = lead[0], lev.num_nodes, lev.mass.nnz
+    idx = np.int32 if B * nnz < 2**31 else np.intp
+    first = np.arange(B, dtype=idx)[:, None]
+    indptr = np.empty(B * M + 1, dtype=idx)
+    indptr[:-1] = (lev.mass.indptr[:-1] + nnz * first).ravel()
+    indptr[-1] = B * nnz
+    return sp.csr_matrix((data.T.ravel(), (lev.mass.indices + M * first).ravel(),
+                          indptr), shape=(B * M, B * M))
 
 
 def assemble_load(lev: FeLevel, fq: np.ndarray) -> np.ndarray:
     """Load vector with the edge-midpoint quadrature rule, Dirichlet rows
-    zeroed; ``fq`` holds the load's values at ``lev.quad_points``."""
-    b = lev._load_op @ fq
+    zeroed; ``fq`` holds the load's values at ``lev.quad_points``, or one
+    row of them per sample, (B, 3 ntri), for a block of loads (B, M)."""
+    b = lev._load_op @ np.asarray(fq).T
     b[lev.boundary_mask] = 0.0
-    return b
+    return b.T
 
 
 # -- solver: banded Cholesky ---------------------------------------------------
 
 
-def _lower_band(lev: FeLevel, A: sp.csr_matrix) -> np.ndarray:
-    """Lower band of the interior block of ``A`` in LAPACK ``pb`` storage:
-    an F-ordered ``(kd + 1, n_int)`` view with ``ab[r - c, c] = A_int[r, c]``."""
+def _lower_band(lev: FeLevel, data: np.ndarray) -> np.ndarray:
+    """Lower band of the interior block of the stiffness matrix with
+    ``data`` (its CSR data, or one row of them per sample) in LAPACK
+    ``pb`` storage: per sample an F-ordered ``(kd + 1, n_int)`` view with
+    ``ab[r - c, c] = A_int[r, c]``, behind the leading axes of ``data``."""
     n, kd = lev.interior.size, lev._band_kd
-    band = np.zeros(n * (kd + 1))
-    band[lev._band_flat] = A.data[lev._band_pos]
-    return band.reshape(n, kd + 1).T
+    lead = data.shape[:-1]
+    band = np.zeros(lead + (n * (kd + 1),))
+    # through the transposes: numpy's 1-D fast path for a single sample
+    band.T[lev._band_flat] = data.T[lev._band_pos]
+    return band.reshape(lead + (n, kd + 1)).swapaxes(-1, -2)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v`` (of ``v`` itself when 1-D)."""
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+def _band_solves(factors: list, b: np.ndarray) -> np.ndarray:
+    """Solve with each sample's band factor for its row of ``b``, or for
+    ``b`` itself when it is one vector; one row per factor."""
+    x = np.empty((len(factors), b.shape[-1]))
+    for factor, rhs, out in zip(factors, b if b.ndim > 1 else itertools.repeat(b), x):
+        out[:] = dpbtrs(factor, rhs, lower=1)[0]
+    return x
 
 
 class OperatorSet:
@@ -368,50 +424,67 @@ class OperatorSet:
     adjoint solves, which share the same bilinear form.  A factorization
     that meets a non-positive pivot, or a solve whose relative residual
     exceeds ``rtol`` (a NaN residual included), raises ``SolverDiverged``.
+
+    A block of coefficients (B, ntri) is assembled and checked in block
+    operations, with one LAPACK factor per sample (one ``dpbtrf`` call,
+    then one ``dpbtrs`` call per solve), so each sample's solution is
+    bitwise the one its coefficient gives alone.  Its solves take a load
+    per sample, (B, M), or one load for all of them.
     """
 
     def __init__(self, lev: FeLevel, a: Union[np.ndarray, float],
                  rtol: float = 1e-10):
         self.lev = lev
         self.rtol = rtol
+        a = np.asarray(a, dtype=float)
+        self.shape = a.shape[:-1]            # () for one coefficient, else (B,)
         # the full operator serves the residual check: with zero boundary
         # values its interior rows give A_int @ x_int, without building A_int
         self.A = A = assemble_stiffness(lev, a)
-        # the F-ordered view is LAPACK's own layout, so f2py factors it in
+        # each F-ordered view is LAPACK's own layout, so f2py factors it in
         # place instead of copying it
-        factor, info = dpbtrf(_lower_band(lev, A), lower=1, overwrite_ab=1)
-        if info != 0:
-            raise SolverDiverged(
-                f"banded Cholesky failed (info={info}): the interior "
-                f"operator is not positive definite")
-        # the factor's solve stands in as _precond, so a wrapper that
+        factors = []
+        bands = _lower_band(lev, A.data.reshape(self.shape + (-1,)))
+        for band in bands.reshape((-1,) + bands.shape[-2:]):
+            factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise SolverDiverged(
+                    f"banded Cholesky failed (info={info}): the interior "
+                    f"operator is not positive definite")
+            factors.append(factor)
+        # the factors' solves stand in as _precond, so a wrapper that
         # counts preconditioner applications sees one per solve
-        self._precond = lambda b: dpbtrs(factor, b, lower=1)[0]
+        shape = self.shape + (lev.interior.size,)
+        self._precond = lambda b: _band_solves(factors, b).reshape(shape)
 
     def solve(self, b_full: np.ndarray) -> FeFunction:
+        # interior rows are indexed through the transposes: numpy's 1-D
+        # fast path for one sample, whole rows of the block otherwise
         lev = self.lev
-        b = b_full[lev.interior]
-        x = np.zeros(lev.num_nodes)
-        x[lev.interior] = self._precond(b)
-        res = np.linalg.norm(b - (self.A @ x)[lev.interior])
-        nb = np.linalg.norm(b)
-        if not res <= self.rtol * nb:
+        b = b_full.T[lev.interior].T
+        x = np.zeros(self.shape + (lev.num_nodes,))
+        x.T[lev.interior] = self._precond(b).T
+        r = b - (self.A @ x.ravel()).reshape(x.shape).T[lev.interior].T
+        res, nb = _norms(r), _norms(b)
+        ok = res <= self.rtol * nb
+        if not ok.all():
             raise SolverDiverged(
-                f"banded Cholesky solve left relative residual {res / nb:.1e} "
-                f"above rtol={self.rtol}")
+                f"banded Cholesky solve left relative residual "
+                f"{(res / nb)[~ok].flat[0]:.1e} above rtol={self.rtol}")
         return FeFunction(level=lev.level, nodal_values=x)
 
 
 def prolong(f: FeFunction, levels: Sequence[FeLevel], to: int) -> FeFunction:
-    """Inject a coarse FE function into a finer nested level (pointwise exact)."""
+    """Inject a coarse FE function into a finer nested level (pointwise
+    exact); a block of functions (B, M) is injected row by row."""
     if to < f.level:
         raise NestingViolation("prolongation target must be a finer level")
     vals = f.nodal_values
     for k in range(f.level + 1, to + 1):
         P = levels[k].prolongation
-        if P is None or P.shape[1] != vals.size:
+        if P is None or P.shape[1] != vals.shape[-1]:
             raise NestingViolation(f"no prolongation into level {k}")
-        vals = P @ vals
+        vals = (P @ vals.T).T
     return FeFunction(level=to, nodal_values=vals)
 
 

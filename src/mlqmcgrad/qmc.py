@@ -99,7 +99,7 @@ def make_shift_set(master_seed: int, level: int, R: int,
         yield shift_rng(master_seed, "shift", level, r).random(s)
 
 
-def sequence_point(gv: GeneratingVector, k: int, delta: np.ndarray) -> np.ndarray:
+def sequence_point(gv: GeneratingVector, k, delta: np.ndarray) -> np.ndarray:
     """Point k of the embedded lattice sequence (k = 0, 1, 2, ...).
 
     The first 2^m sequence points equal the N = 2^m lattice rule as a
@@ -111,19 +111,25 @@ def sequence_point(gv: GeneratingVector, k: int, delta: np.ndarray) -> np.ndarra
     computed in integers and scaled exactly.  The result equals the
     float form ``((rev / 2^m * z) % 1 + delta) % 1`` bitwise: both sums
     lie in [0, 2), where subtracting 1 is exact.
+
+    ``k`` may also be a 1-D array of B indices, each with its own bit
+    length: the points are then the rows of one (B, s) integer product,
+    and ``delta`` is one shift of length s or one shift per row, (B, s).
+    Each row is bitwise the point of its index alone.
     """
     delta = np.asarray(delta, dtype=float)
-    s = delta.size
+    s = delta.shape[-1]
     if len(gv) < s:
         raise ValueError(f"generating vector has {len(gv)} < s = {s} entries")
-    m = int(k).bit_length()
-    rev = int(f"{int(k):b}"[::-1], 2) if m else 0
-    frac = np.multiply(gv.entries[:s], rev, dtype=np.int64)
-    frac &= (1 << m) - 1
-    x = np.multiply(frac, 2.0**-m)
+    ks = [int(i) for i in np.atleast_1d(k)]
+    m = np.array([i.bit_length() for i in ks])
+    rev = np.array([int(f"{i:b}"[::-1], 2) if i else 0 for i in ks])
+    frac = np.multiply(gv.entries[:s], rev[:, None], dtype=np.int64)
+    frac &= ((1 << m) - 1)[:, None]
+    x = np.multiply(frac, np.ldexp(1.0, -m)[:, None])
     x += delta
     x -= x >= 1.0
-    return x
+    return x if np.ndim(k) else x[0]
 
 
 def _refine_quantile(y: np.ndarray, xi: np.ndarray) -> np.ndarray:

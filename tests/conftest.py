@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mlqmcgrad.covariance import MaternParams, MeanField
 from mlqmcgrad.estimators import LevelHierarchy
@@ -25,10 +26,10 @@ def zero_fn(x):
 PROBLEM1 = MaternParams(sigma2=0.1, lambda_c=1.0, nu=0.5)
 
 
-def make_hierarchy(L=1, seed=123, **kwargs):
+def make_hierarchy(L=1, seed=123, kernel=PROBLEM1, **kwargs):
     objective = kwargs.pop("objective", None) or TargetAndControl(
         g=target_indicator, z=control_bumps, alpha=1e-4)
-    return LevelHierarchy(PROBLEM1, MeanField(0.0), objective, L,
+    return LevelHierarchy(kernel, MeanField(0.0), objective, L,
                           master_seed=seed, **kwargs)
 
 
@@ -60,7 +61,17 @@ def rewrite_cache_file(path, meta=None, pos=None, amp=None):
             np.save(fh, block)
 
 
-# -- oracles: dense forms of the embedding that no package code needs -----------
+# -- oracles: forms of package data that no package code needs -----------------
+
+
+def quad_eval_matrix(lev):
+    """P1 evaluation at the quadrature points as a sparse matrix: row p
+    weighs the two end nodes of point p's edge by 0.5 each."""
+    ends = lev._quad_ends.T
+    return sp.csr_matrix(
+        (np.full(ends.size, 0.5), ends.ravel(), np.arange(0, ends.size + 1, 2)),
+        shape=(ends.shape[0], lev.num_nodes))
+
 
 
 def assign_inputs(e, y):

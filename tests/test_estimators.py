@@ -2,7 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import control_bumps, make_hierarchy, target_indicator, zero_fn
+from conftest import (control_bumps, make_hierarchy, quad_eval_matrix, target_indicator,
+                      zero_fn)
 
 from mlqmcgrad import circulant_field
 from mlqmcgrad import estimators as est
@@ -166,7 +167,7 @@ class TestAdjointAgainstObjective:
 
         def J(zq):
             u = ops.solve(fem.assemble_load(lev, zq))
-            r = lev._quad_eval @ u.nodal_values - g
+            r = quad_eval_matrix(lev) @ u.nodal_values - g
             return 0.5 * weight * (r @ r) + 0.5 * obj.alpha * weight * (zq @ zq)
 
         q = est.adjoint_solution(hier, ell, fields[ell])
@@ -180,7 +181,7 @@ class TestAdjointAgainstObjective:
         lev, J, q, weight = self.parts(hier, fields, ell)
         z = hier.objective.z(lev.quad_points)
         d = smooth_direction(lev.quad_points)
-        adjoint = weight * (lev._quad_eval @ q.nodal_values
+        adjoint = weight * (quad_eval_matrix(lev) @ q.nodal_values
                             + hier.objective.alpha * z) @ d
         central = (J(z + d) - J(z - d)) / 2.0
         assert abs(central - adjoint) <= 1e-12 * abs(adjoint)
@@ -200,7 +201,7 @@ class TestAdjointAgainstObjective:
         for ell in range(4):
             lev, _, q, weight = self.parts(hier, fields, ell)
             adjoint = modes(lev.quad_points) @ (
-                weight * (lev._quad_eval @ q.nodal_values + alpha * z(lev.quad_points)))
+                weight * (quad_eval_matrix(lev) @ q.nodal_values + alpha * z(lev.quad_points)))
             paired = modes(lev.nodes) @ (lev.mass @ (q.nodal_values + alpha * z(lev.nodes)))
             gaps.append(np.sqrt(np.mean((paired - adjoint) ** 2)))
         # level 0 (a 2 x 2 field grid) is not yet asymptotic; 4 is O(h^2)
@@ -477,6 +478,22 @@ class TestCostLedger:
         assert plain["cost_measured_normalized"] == 5.0
         assert est.measured_cost(hier, [(1, 2, 3)], coupled=True) == 6.0
 
+    def test_one_entry_per_call_with_its_samples(self):
+        # a refinement's blocks each enter the ledger once; per-sample
+        # figures divide by the samples, not by the calls
+        hier = make_hierarchy(L=1, seed=23)
+        acc = QmcLevelAccumulator(hier, 0, R=3)
+        acc.block = 4
+        acc.refine()                  # 6 samples, in two equal blocks of 3
+        t = hier.timing[(0, False)]
+        assert (t.samples, t.calls, len(t.totals)) == (6, 2, 2)
+        assert t.per_sample == [total / 3 for total in t.totals]
+        row = est.cost_ledger(hier)["levels"][0]
+        assert (row["samples"], row["calls"]) == (6, 2)
+        assert row["total_seconds_median"] == float(np.median(t.totals))
+        assert row["sample_seconds_median"] == float(np.median(t.per_sample))
+        assert row["ce_seconds_mean"] == t.ce_seconds / 6
+
     def test_measured_cost_monotone_in_level(self):
         # 17^2, 33^2 and 65^2 meshes: adjacent levels differ about fivefold
         # in sample time, far beyond what machine load reorders
@@ -484,5 +501,5 @@ class TestCostLedger:
         for ell in range(3):
             qmc_level(hier, ell, N=16, R=2)
         ledger = est.cost_ledger(hier)
-        meds = [row["total_seconds_median"] for row in ledger["levels"]]
+        meds = [row["sample_seconds_median"] for row in ledger["levels"]]
         assert meds[0] <= meds[1] <= meds[2]

@@ -18,6 +18,8 @@ from mlqmcgrad.circulant_field import (
 from mlqmcgrad.covariance import MaternParams
 from mlqmcgrad.fem import FeFunction, OperatorSet, SolverDiverged
 
+from conftest import quad_eval_matrix
+
 
 @pytest.fixture(scope="module")
 def levels():
@@ -79,7 +81,7 @@ def solve_state(levels, ell, a, z, rtol=1e-10):
 def solve_adjoint(levels, ell, a, u, g):
     """Adjoint solve -div(a grad q) = u - g at level ``ell``."""
     lev = levels[ell]
-    b = fem.assemble_load(lev, lev._quad_eval @ u.nodal_values - g(lev.quad_points))
+    b = fem.assemble_load(lev, quad_eval_matrix(lev) @ u.nodal_values - g(lev.quad_points))
     return OperatorSet(lev, a).solve(b)
 
 
@@ -203,7 +205,7 @@ def test_closed_form_build_matches_sorted_construction(n):
     assert np.array_equal(lev._band_pos, ref["band_pos"])
     assert np.array_equal(lev._band_flat, ref["band_flat"])
     assert same_csr(lev._load_op, ref["load"])
-    assert same_csr(lev._quad_eval, ref["eval"])
+    assert same_csr(quad_eval_matrix(lev), ref["eval"])
     if coarse is not None:
         assert same_csr(fem._prolongation_matrix(coarse, lev), ref["P"])
 
@@ -242,8 +244,7 @@ def test_level_build_memory(levels):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * kept
-    operators = (lev._stiffness_map, lev.mass, lev._load_op, lev._quad_eval,
-                 lev.prolongation)
+    operators = (lev._stiffness_map, lev.mass, lev._load_op, lev.prolongation)
     for index in (lev.triangles, *(op.indices for op in operators),
                   *(op.indptr for op in operators)):
         assert index.dtype == np.int32
@@ -381,7 +382,7 @@ def test_band_scatter_matches_dense_lower_band(levels, ell, seed, log_spread):
     rng = np.random.default_rng(seed)
     a_elem = np.exp(log_spread * rng.standard_normal(lev.num_triangles))
     A = fem.assemble_stiffness(lev, a_elem)
-    ab = fem._lower_band(lev, A)
+    ab = fem._lower_band(lev, A.data)
     assert ab.flags.f_contiguous
     dense = A[lev.interior][:, lev.interior].toarray()
     n, kd = dense.shape[0], ab.shape[0] - 1
