@@ -7,6 +7,12 @@ real orthogonal eigen-factorization C = G Lambda G^T one gets exact field
 samples Z = B Y + Zbar in O(s log s) per sample, where B is the first m
 rows of G sqrt(Lambda) and s is the extended (padded) grid size.
 
+The extension doubles until the embedding is positive semidefinite.  A
+Matern kernel that needs padding is also tried, at each rejected size,
+times a smooth cutoff that keeps it exact inside the domain and makes
+its periodization smooth (``build_embedding``); its period then stays
+fixed as the grid is refined, where the plain kernel's grows.
+
 Each conjugate frequency pair of the extension contributes two real
 degrees of freedom (a cosine and a sine direction), each self-conjugate
 frequency one, so s equals the extended grid size and every component of
@@ -40,7 +46,7 @@ import numpy as np
 import scipy
 
 from . import covariance
-from .covariance import MaternParams, matern_cov
+from .covariance import MaternParams, PeriodizedMatern, matern_cov, smooth_cutoff
 
 __all__ = [
     "UniformGrid",
@@ -122,7 +128,9 @@ class CirculantEmbedding:
     bitwise the values the build used.  ``dct_screens`` and
     ``fftn_calls`` count the build's PSD screens and full spectra;
     ``from_cache`` says whether this one was loaded from the disk cache
-    instead (the counters are then the stored build's).
+    instead (the counters are then the stored build's).  ``kernel`` is
+    the one accepted: a ``PeriodizedMatern`` when the search fell back to
+    smooth periodization (``periodized``).
     """
 
     grid: UniformGrid
@@ -137,6 +145,10 @@ class CirculantEmbedding:
     dct_screens: int
     fftn_calls: int
     from_cache: bool = False
+
+    @property
+    def periodized(self) -> bool:
+        return isinstance(self.kernel, PeriodizedMatern)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -311,6 +323,15 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     return pos, amp
 
 
+def _lag_distance(grid: UniformGrid, m: int, sel) -> np.ndarray:
+    """Distances of the lags ``sel`` (index arrays into [0, m)^d, in
+    units of the spacing), summing the squares in axis order."""
+    lag = np.arange(m) * grid.spacing
+    if grid.dim == 1:
+        return lag[sel[0]]
+    return np.sqrt(sum(lag[i] ** 2 for i in sel))
+
+
 def _lag_block(kernel, grid: UniformGrid, m: int,
                corner: Optional[np.ndarray] = None) -> np.ndarray:
     """The kernel on the lag block [0, m)^d (lags in units of the spacing).
@@ -322,7 +343,6 @@ def _lag_block(kernel, grid: UniformGrid, m: int,
     bitwise; in 3-D reordering the three squares changes the rounding.
     """
     dim = grid.dim
-    lag = np.arange(m) * grid.spacing
     new = np.ones((m,) * dim, dtype=bool)
     block = np.empty((m,) * dim)
     if corner is not None:
@@ -332,10 +352,7 @@ def _lag_block(kernel, grid: UniformGrid, m: int,
     if dim == 2:
         new &= np.tri(m, dtype=bool).T             # i <= j
     sel = np.nonzero(new)
-    if dim == 1:
-        dist = lag[sel[0]]
-    else:
-        dist = np.sqrt(sum(lag[i] ** 2 for i in sel))
+    dist = _lag_distance(grid, m, sel)
     if callable(kernel):
         block[sel] = np.asarray(kernel(dist), dtype=float)
     else:
@@ -412,10 +429,15 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     Starts from the minimal extension 2*(n-1) per axis and doubles the
     extension until the spectrum is nonnegative up to ``tol`` (relative
     to the largest eigenvalue).  Eigenvalues in [-tol*max, 0) are clamped
-    to zero; anything more negative triggers another doubling.  The
-    kernel is evaluated once per lag; each attempt is screened by a
-    DCT-I of the lag block, and the full FFT runs only where the screen
-    cannot reject, so every outcome is the one the FFT gives.
+    to zero; anything more negative rejects the attempt.  At each
+    extension the kernel itself is tried first.  Where it is rejected, a
+    Matern kernel is tried once more at the same extension, smoothly
+    periodized (see ``_candidates``), before the extension doubles; the
+    first accepted candidate is the embedding, and ``kernel`` records
+    which one it was.  The kernel is evaluated once per lag; each attempt
+    is screened by a DCT-I of the lag block, and the full FFT runs only
+    where the screen cannot reject, so every outcome is the one the FFT
+    gives.
 
     A MaternParams embedding is first looked up in the disk cache (see
     ``_cache_file``), and a built one is stored there.  The cache is
@@ -444,32 +466,54 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     return emb
 
 
-def _build(kernel, grid: UniformGrid, tol: float,
-           max_attempts: int) -> CirculantEmbedding:
-    """The doubling search of ``build_embedding``, without the cache."""
+def _periodized(kernel, grid: UniformGrid, ext: int) -> Optional[PeriodizedMatern]:
+    """The smoothly periodized form of a Matern ``kernel`` at extension
+    ``ext``: the kernel times a cutoff that is 1 up to sqrt(d), the
+    diameter of the unit cube, and 0 from half the period ext * spacing.
+    None for a callable kernel, or where half the period is not past
+    sqrt(d)."""
+    if not isinstance(kernel, MaternParams):
+        return None
+    inner, outer = math.sqrt(grid.dim), ext * grid.spacing / 2
+    return PeriodizedMatern(kernel, inner, outer) if outer > inner else None
+
+
+def _candidates(kernel, grid: UniformGrid, ext: int, block: np.ndarray):
+    """The kernels tried at extension ``ext``, each with its lag block:
+    ``kernel`` itself, then its smoothly periodized form where there is
+    one.  The periodized block reuses ``block``'s Matern values; inside
+    the domain the cutoff is exactly 1, so there it is ``block`` bitwise
+    and the sampled field keeps the Matern law on the grid."""
+    yield kernel, block
+    periodized = _periodized(kernel, grid, ext)
+    if periodized is not None:
+        m = block.shape[0]
+        dist = _lag_distance(grid, m, np.indices((m,) * grid.dim))
+        yield periodized, block * smooth_cutoff(dist, periodized.inner, periodized.outer)
+
+
+def _search(kernel, grid: UniformGrid, tol: float, max_attempts: int):
+    """The search of ``build_embedding``: the accepted kernel, extension
+    and spectrum (a view of the complex FFT output), and the DCT screens
+    and full FFTs it took."""
     n = grid.points_per_axis
     ext = 2 * (n - 1)
     block = None
     screens = ffts = 0
     for _ in range(max_attempts + 1):
         block = _lag_block(kernel, grid, ext // 2 + 1, block)
-        screens += 1
-        if not _screen_rejects(block, tol):
+        for found, found_block in _candidates(kernel, grid, ext, block):
+            screens += 1
+            if _screen_rejects(found_block, tol):
+                continue
             ffts += 1
             # the column goes straight into a complex array that the FFT
             # overwrites: no real copy or second complex array is held
             spec = np.zeros((ext,) * grid.dim, dtype=complex)
-            _mirror(block, ext, out=spec.real)
+            _mirror(found_block, ext, out=spec.real)
             eigs = np.fft.fftn(spec, out=spec).real
             if eigs.min() >= -tol * eigs.max():
-                clamped = int(np.count_nonzero(eigs < 0))
-                eigs = np.maximum(eigs, 0.0).ravel()
-                del spec, block          # spent: free them before the map
-                pos, amp = _spectrum_map(eigs, ext, grid.dim)   # amp is eigs
-                return CirculantEmbedding(
-                    grid=grid, ext_per_axis=ext, s=ext**grid.dim,
-                    clamped=clamped, kernel=kernel, _spec_pos=pos,
-                    _spec_amp=amp, dct_screens=screens, fftn_calls=ffts)
+                return found, ext, eigs, screens, ffts
         ext *= 2
     raise PaddingExhausted(
         f"no positive semidefinite extension within {max_attempts} doublings "
@@ -477,10 +521,25 @@ def _build(kernel, grid: UniformGrid, tol: float,
     )
 
 
+def _build(kernel, grid: UniformGrid, tol: float,
+           max_attempts: int) -> CirculantEmbedding:
+    """The embedding ``_search`` accepts, without the cache.  The lag
+    blocks are freed with the search, and the complex spectrum once its
+    clamped copy is taken, before the map."""
+    found, ext, eigs, screens, ffts = _search(kernel, grid, tol, max_attempts)
+    clamped = int(np.count_nonzero(eigs < 0))
+    eigs = np.maximum(eigs, 0.0).ravel()
+    pos, amp = _spectrum_map(eigs, ext, grid.dim)   # amp is eigs
+    return CirculantEmbedding(
+        grid=grid, ext_per_axis=ext, s=ext**grid.dim, clamped=clamped,
+        kernel=found, _spec_pos=pos, _spec_amp=amp, dct_screens=screens,
+        fftn_calls=ffts)
+
+
 # -- disk cache of Matern embeddings -------------------------------------------
 
 # bump when the file layout changes
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 
 
 def _cache_file(kernel: MaternParams, grid: UniformGrid, tol: float,
@@ -505,14 +564,15 @@ def _cache_file(kernel: MaternParams, grid: UniformGrid, tol: float,
 
 def _store(path: Path, e: CirculantEmbedding):
     """Write ``e`` as three .npy blocks (build facts, slots, amplitudes)
-    to a temp file beside ``path``, then rename it.  The arrays go to the
-    file as they are, without a copy."""
+    to a temp file beside ``path``, then rename it.  The build facts end
+    with 1 for a periodized kernel, else 0.  The arrays go to the file as
+    they are, without a copy."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, np.array([e.ext_per_axis, e.s, e.clamped,
-                                  e.dct_screens, e.fftn_calls], dtype=np.int64))
+            np.save(fh, np.array([e.ext_per_axis, e.s, e.clamped, e.dct_screens,
+                                  e.fftn_calls, e.periodized], dtype=np.int64))
             np.save(fh, e._spec_pos)
             np.save(fh, e._spec_amp)
         os.replace(tmp, path)
@@ -539,22 +599,18 @@ def _load(path: Path, kernel: MaternParams, grid: UniformGrid) -> CirculantEmbed
     types and slot range are those a build on ``grid`` yields."""
     dim = grid.dim
     with open(path, "rb") as fh:
-        ext, s, clamped, screens, ffts = map(int, _read_block(fh, np.int64, 5))
+        ext, s, clamped, screens, ffts, periodized = map(
+            int, _read_block(fh, np.int64, 6))
         if ext < 2 * (grid.points_per_axis - 1) or s != ext**dim:
             raise ValueError("cached embedding does not match its key")
+        if periodized:
+            kernel = _periodized(kernel, grid, ext)
+            if periodized != 1 or kernel is None:
+                raise ValueError("cached embedding does not match its key")
         pos = _read_block(fh, _slot_type(ext, dim), s)
         amp = _read_block(fh, np.float64, s)
     if pos.min() < 0 or pos.max() >= _slot_count(ext, dim):
         raise ValueError("cached embedding does not match its key")
-    # Leave the allocator as a build leaves it, by freeing a block the
-    # size of the full spectrum a build frees (never touched, so it costs
-    # no memory).  glibc raises its mmap and trim thresholds when it
-    # frees a block that large; left low, they make each level-5 sample
-    # of problem 2 return its arrays to the system and fault them in
-    # again: 1,000-1,600 minor faults per sample against about 100, and
-    # 3-4 ms more per sample.
-    spectrum = np.empty((ext,) * dim, dtype=complex)
-    del spectrum
     return CirculantEmbedding(
         grid=grid, ext_per_axis=ext, s=s, clamped=clamped, kernel=kernel,
         _spec_pos=pos, _spec_amp=amp, dct_screens=screens, fftn_calls=ffts,

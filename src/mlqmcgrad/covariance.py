@@ -4,6 +4,13 @@ The Matern family is the only kernel used: it covers the exponential
 covariance (nu = 1/2) and arbitrarily smooth fields as nu grows.  Kernels
 are functions of scalar distance only (isotropic), which is what the
 circulant embedding of the covariance matrix requires.
+
+``PeriodizedMatern`` is the Matern kernel times a smooth cutoff
+(``smooth_cutoff``): it equals the Matern kernel up to a distance and
+vanishes from a larger one, so its periodization on a torus twice that
+larger distance long is smooth and keeps every covariance inside the
+smaller distance (Bachmayr, Graham, Nguyen and Scheichl, SIAM J. Numer.
+Anal. 2020).
 """
 from __future__ import annotations
 
@@ -13,7 +20,8 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import gammaln, kv
 
-__all__ = ["MaternParams", "MeanField", "matern_cov"]
+__all__ = ["MaternParams", "MeanField", "PeriodizedMatern", "matern_cov",
+           "smooth_cutoff"]
 
 # Below this argument the Bessel product is evaluated by its r -> 0 limit;
 # kv underflows/overflows long before the limit stops being accurate here.
@@ -89,3 +97,34 @@ def matern_cov(p: MaternParams, r) -> np.ndarray:
     if np.ndim(r) == 0:
         return float(out)
     return out
+
+
+def smooth_cutoff(r, inner: float, outer: float) -> np.ndarray:
+    """A C-infinity cutoff of distance: exactly 1 on [0, inner], exactly 0
+    from ``outer`` on (``inner < outer``).
+
+    With u = (r - inner) / (outer - inner) and f(x) = exp(-1/x) for
+    x > 0, else 0, it is f(1 - u) / (f(1 - u) + f(u)): at u <= 0 the
+    denominator is the numerator, at u >= 1 the numerator is zero.
+    """
+    u = (np.asarray(r, dtype=float) - inner) / (outer - inner)
+    with np.errstate(divide="ignore"):
+        keep = np.exp(-1.0 / np.maximum(1.0 - u, 0.0))     # f(1 - u)
+        drop = np.exp(-1.0 / np.maximum(u, 0.0))           # f(u)
+    return keep / (keep + drop)
+
+
+@dataclass(frozen=True)
+class PeriodizedMatern:
+    """The Matern kernel times ``smooth_cutoff(r, inner, outer)``.
+
+    Equal to ``matern_cov(params, r)`` bitwise for r <= inner (the
+    cutoff is exactly 1 there) and zero from ``outer`` on.
+    """
+
+    params: MaternParams
+    inner: float
+    outer: float
+
+    def __call__(self, r) -> np.ndarray:
+        return matern_cov(self.params, r) * smooth_cutoff(r, self.inner, self.outer)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlqmcgrad.covariance import MaternParams, MeanField
+from mlqmcgrad.covariance import MaternParams, MeanField, matern_cov
 from mlqmcgrad.estimators import LevelHierarchy
 from mlqmcgrad.fem import TargetAndControl
 
@@ -105,3 +105,31 @@ def factor_row(e, i):
     row = np.empty(e.s)
     row[e.importance_order] = e._spec_amp * mult * trig / e.s
     return row
+
+
+def reference_column(kernel, grid, ext):
+    """First circulant column with the kernel evaluated on all ext^d lags."""
+    lag = np.arange(ext)
+    lag = np.minimum(lag, ext - lag) * grid.spacing
+    if grid.dim == 1:
+        dist = lag
+    else:
+        mesh = np.meshgrid(*([lag] * grid.dim), indexing="ij")
+        dist = np.sqrt(sum(m**2 for m in mesh))
+    if callable(kernel):
+        return np.asarray(kernel(dist), dtype=float)
+    return matern_cov(kernel, dist)
+
+
+def doubling_search(kernel, grid, tol, max_attempts):
+    """The classic doubling search, with the full FFT at every attempt:
+    the accepted extension, its clamped count and clamped spectrum, or
+    None when the attempts run out.  ``build_embedding`` never pads more
+    than this, and where it pads as much its embedding is this one."""
+    ext = 2 * (grid.points_per_axis - 1)
+    for _ in range(max_attempts + 1):
+        eigs = np.fft.fftn(reference_column(kernel, grid, ext)).real
+        if eigs.min() >= -tol * eigs.max():
+            return ext, int(np.count_nonzero(eigs < 0)), np.maximum(eigs, 0.0)
+        ext *= 2
+    return None

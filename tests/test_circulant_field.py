@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import assign_inputs, factor_row, rewrite_cache_file
+from conftest import (assign_inputs, doubling_search, factor_row, reference_column,
+                      rewrite_cache_file)
 from mlqmcgrad import circulant_field as cf, covariance
-from mlqmcgrad.covariance import MaternParams, MeanField, matern_cov
+from mlqmcgrad.covariance import (MaternParams, MeanField, PeriodizedMatern, matern_cov,
+                                  smooth_cutoff)
 from mlqmcgrad.circulant_field import (
     FieldRealization,
     _circulant_column,
@@ -133,20 +135,6 @@ def test_sampling_statistics_smoke():
 # -- references: the kernel on every lag and the full complex spectrum --------
 
 
-def reference_column(kernel, grid, ext):
-    """First circulant column with the kernel evaluated on all ext^d lags."""
-    lag = np.arange(ext)
-    lag = np.minimum(lag, ext - lag) * grid.spacing
-    if grid.dim == 1:
-        dist = lag
-    else:
-        mesh = np.meshgrid(*([lag] * grid.dim), indexing="ij")
-        dist = np.sqrt(sum(m**2 for m in mesh))
-    if callable(kernel):
-        return np.asarray(kernel(dist), dtype=float)
-    return matern_cov(kernel, dist)
-
-
 def reference_coordinates(eigs):
     """Canonical coordinates of the full spectrum, sorted by (freq, kind).
 
@@ -209,19 +197,6 @@ def test_column_bitwise_equals_all_lag_evaluation(case, nu, doublings):
     assert col.tobytes() == reference_column(kernel, grid, ext).tobytes()
 
 
-def reference_search(kernel, grid, tol, max_attempts):
-    """The doubling search with the full FFT at every attempt: the
-    accepted extension, its clamped count and clamped spectrum, or None
-    when the attempts run out."""
-    ext = 2 * (grid.points_per_axis - 1)
-    for _ in range(max_attempts + 1):
-        eigs = np.fft.fftn(reference_column(kernel, grid, ext)).real
-        if eigs.min() >= -tol * eigs.max():
-            return ext, int(np.count_nonzero(eigs < 0)), np.maximum(eigs, 0.0)
-        ext *= 2
-    return None
-
-
 def reference_spectrum_map(eigs, order):
     """Per input coordinate (canonical coordinate ``order[r]``), its slot
     in the float64 view of the half spectrum and its signed amplitude."""
@@ -254,6 +229,22 @@ CALLABLE_KERNELS = {
 }
 
 
+def periodizes(kernel, grid, ext):
+    """Whether the search tries a smoothly periodized kernel at ``ext``:
+    a Matern kernel, with half the period past the cube's diameter."""
+    return isinstance(kernel, MaternParams) and ext * grid.spacing / 2 > math.sqrt(grid.dim)
+
+
+def screens_of(kernel, grid, emb):
+    """Screens of a search that accepted ``emb``: one per kernel tried at
+    each smaller extension, then the accepted one's."""
+    ext, screens = 2 * (grid.points_per_axis - 1), 0
+    while ext < emb.ext_per_axis:
+        screens += 1 + periodizes(kernel, grid, ext)
+        ext *= 2
+    return screens + 1 + emb.periodized
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=grid_cases,
        kernel=st.one_of(st.sampled_from([0.5, 1.5, 2.5]),
@@ -269,15 +260,27 @@ def test_embedding_spectrum_and_order_bitwise(case, kernel, tol, attempts):
     # keep the reference's largest spectrum below 2^16 entries
     while (2 * (n - 1) * 2**attempts) ** dim > 2**16:
         attempts -= 1
-    ref = reference_search(kernel, grid, tol, attempts)
-    if ref is None:
-        with pytest.raises(PaddingExhausted):
-            build_embedding(kernel, grid, tol=tol, max_attempts=attempts)
+    ref = doubling_search(kernel, grid, tol, attempts)
+    try:
+        emb = build_embedding(kernel, grid, tol=tol, max_attempts=attempts)
+    except PaddingExhausted:
+        assert ref is None
         return
-    ext, clamped, eigs = ref
-    emb = build_embedding(kernel, grid, tol=tol, max_attempts=attempts)
-    assert (emb.ext_per_axis, emb.clamped, emb.s) == (ext, clamped, ext**dim)
-    assert emb.fftn_calls >= 1 and emb.dct_screens == (ext // (2 * (n - 1))).bit_length()
+    ext = emb.ext_per_axis
+    if ref is not None and ref[0] == ext:
+        # as much padding as the doubling search: its embedding, bitwise
+        assert emb.kernel is kernel and not emb.periodized
+        _, clamped, eigs = ref
+    else:
+        # less: the periodized kernel, whose spectrum the reference takes
+        # from its values on every lag
+        assert ref is None or ext < ref[0]
+        assert emb.periodized and emb.kernel.params == kernel
+        eigs = np.fft.fftn(reference_column(emb.kernel, grid, ext)).real
+        clamped = int(np.count_nonzero(eigs < 0))
+        eigs = np.maximum(eigs, 0.0)
+    assert (emb.clamped, emb.s) == (clamped, ext**dim)
+    assert emb.fftn_calls >= 1 and emb.dct_screens == screens_of(kernel, grid, emb)
     coord_eigs = reference_coordinates(eigs)[0]
     order = np.argsort(-coord_eigs, kind="stable")
     pos, amp = reference_spectrum_map(eigs, order)
@@ -287,6 +290,92 @@ def test_embedding_spectrum_and_order_bitwise(case, kernel, tol, attempts):
     assert emb.eigenvalues.tobytes() == eigs.tobytes()
     assert emb._coord_eigs.tobytes() == coord_eigs.tobytes()
     assert np.array_equal(emb.importance_order, order)
+
+
+# -- smooth periodization --------------------------------------------------------
+
+# Matern kernels over a range of correlation lengths on small grids in
+# 1-3 dimensions; 3-d grids stay coarse so the doubling search's spectra
+# stay below 2^16 entries
+matern_cases = st.tuples(
+    st.integers(1, 3), st.integers(2, 9), st.floats(0.05, 2.0),
+    st.sampled_from([0.5, 1.5, 2.5]),
+).map(lambda t: (t[0], min(t[1], 5) if t[0] == 3 else t[1],
+                 min(t[2], 0.3) if t[0] == 3 else t[2], t[3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=matern_cases)
+def test_periodized_search_pads_less_and_keeps_the_law(case):
+    dim, n, lam, nu = case
+    kernel = MaternParams(sigma2=0.1, lambda_c=lam, nu=nu)
+    grid = UniformGrid(dim=dim, points_per_axis=n)
+    attempts = int(math.log2(2**(16 / dim) / (2 * (n - 1))))
+    ref = doubling_search(kernel, grid, 1e-13, attempts)
+    try:
+        emb = build_embedding(kernel, grid, max_attempts=attempts)
+    except PaddingExhausted:
+        assert ref is None
+        return
+    ext = emb.ext_per_axis
+    # never more padding than doubling alone; the same padding is its
+    # embedding bitwise (checked against its spectrum above)
+    assert ref is None or ext <= ref[0]
+    assert emb.periodized == (ref is None or ext < ref[0])
+    # on every lag inside the domain the accepted column is the Matern
+    # covariance bitwise, so the sampled field keeps its law on the grid
+    inside = (slice(n),) * dim
+    col = _circulant_column(emb.kernel, grid, ext)
+    assert col[inside].tobytes() == reference_column(kernel, grid, ext)[inside].tobytes()
+    if emb.periodized:
+        assert emb.kernel == cf._periodized(kernel, grid, ext)
+        # the column vanishes on lags at least half the period long
+        dist = np.sqrt(sum(np.minimum(i, ext - i) ** 2 for i in np.indices(col.shape)))
+        assert np.all(col[dist * grid.spacing >= ext * grid.spacing / 2] == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inner=st.floats(0.5, 4.0), width=st.floats(1e-3, 30.0),
+       r=st.floats(0.0, 40.0))
+def test_cutoff_is_one_inside_and_zero_past_the_half_period(inner, width, r):
+    outer = inner + width
+    value = float(smooth_cutoff(r, inner, outer))
+    if r <= inner:
+        assert value == 1.0
+    elif r >= outer:
+        assert value == 0.0
+    else:
+        assert 0.0 <= value <= 1.0
+    p = PeriodizedMatern(MaternParams(0.1, 1.0, 2.5), inner, outer)
+    if r <= inner:
+        assert p(np.array([r]))[0] == matern_cov(p.params, np.array([r]))[0]
+    assert hash(p) == hash(PeriodizedMatern(p.params, inner, outer))
+
+
+def test_cutoff_decreases_through_one_half():
+    r = np.linspace(1.0, 3.0, 20001)
+    phi = smooth_cutoff(r, 1.0, 3.0)
+    assert np.all(np.diff(phi) <= 0.0)
+    assert phi[10000] == pytest.approx(0.5)        # symmetric about the middle
+
+
+# s per level of both presets (CE grid 2^l + 1 points per axis): the
+# levels that doubling padded past the diameter, p1's level 4 and p2's
+# levels 4-5, fall back to the periodized kernel at 8 and 16 domain
+# lengths per axis, 4x fewer inputs; every other level keeps its size
+PRESET_S = {
+    0.5: [(4, False), (16, False), (1024, False), (4096, False), (16384, True)],
+    2.5: [(4, False), (256, False), (4096, False), (16384, False), (65536, True),
+          (262144, True)],
+}
+
+
+@pytest.mark.parametrize("nu", sorted(PRESET_S))
+def test_preset_embedding_sizes(nu):
+    kernel = MaternParams(sigma2=0.1, lambda_c=1.0, nu=nu)
+    for ell, (s, periodized) in enumerate(PRESET_S[nu]):
+        emb = build_embedding(kernel, UniformGrid(2, 2**ell + 1))
+        assert (emb.s, emb.periodized, emb.clamped) == (s, periodized, 0), ell
 
 
 def traced(fn):
@@ -305,11 +394,11 @@ P2_KERNEL = MaternParams(sigma2=0.1, lambda_c=1.0, nu=2.5)
 
 
 def test_embedding_build_memory(embedding_cache):
-    # problem 2's level 4: s = 2^18; the build keeps 4 + 8 bytes per input
-    # (32-bit slot, amplitude) and peaks below three times that, writing
-    # to the cache included
-    emb, kept, peak = traced(lambda: build_embedding(P2_KERNEL, UniformGrid(2, 17)))
-    assert emb.s == 2**18 and not emb.from_cache
+    # problem 2's level 5: s = 2^18, periodized; the build keeps 4 + 8
+    # bytes per input (32-bit slot, amplitude) and peaks below three times
+    # that, writing to the cache included
+    emb, kept, peak = traced(lambda: build_embedding(P2_KERNEL, UniformGrid(2, 33)))
+    assert emb.s == 2**18 and emb.periodized and not emb.from_cache
     assert len(list(embedding_cache.iterdir())) == 1
     assert emb._spec_pos.itemsize == 4
     assert kept <= (emb._spec_pos.itemsize + 8) * emb.s + 2**16
@@ -328,13 +417,17 @@ def assert_same_embedding(a, b):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+# the 3-d grid and both 17-point grids take the periodized kernel
 @pytest.mark.parametrize("kernel, grid", [
     (P1_KERNEL, UniformGrid(2, 9)), (P2_KERNEL, UniformGrid(2, 5)),
-    (P2_KERNEL, UniformGrid(1, 9)), (P1_KERNEL, UniformGrid(3, 3))])
+    (P2_KERNEL, UniformGrid(1, 9)), (P1_KERNEL, UniformGrid(3, 3)),
+    (P1_KERNEL, UniformGrid(2, 17)), (P2_KERNEL, UniformGrid(2, 17))])
 def test_cache_hit_equals_build_bitwise(embedding_cache, kernel, grid):
     built = build_embedding(kernel, grid)
     loaded = build_embedding(kernel, grid)
     assert (built.from_cache, loaded.from_cache) == (False, True)
+    # a periodized hit rebuilds the periodized kernel (compared below)
+    assert built.periodized == loaded.periodized == (grid.dim == 3 or grid.points_per_axis == 17)
     assert_same_embedding(built, loaded)
     # the lazily computed properties come from the kernel, as on a build
     assert loaded.eigenvalues.tobytes() == built.eigenvalues.tobytes()
@@ -347,13 +440,12 @@ def test_cache_hit_equals_build_bitwise(embedding_cache, kernel, grid):
 
 
 def test_cache_hit_memory():
-    # a hit keeps what a build keeps; the spectrum-sized block it frees
-    # is traced at its full size, though never touched
-    build_embedding(P2_KERNEL, UniformGrid(2, 17))
-    emb, kept, peak = traced(lambda: build_embedding(P2_KERNEL, UniformGrid(2, 17)))
+    # a hit keeps what a build keeps, and allocates nothing else s-sized
+    build_embedding(P2_KERNEL, UniformGrid(2, 33))
+    emb, kept, peak = traced(lambda: build_embedding(P2_KERNEL, UniformGrid(2, 33)))
     assert emb.from_cache
     assert kept <= 12 * emb.s + 2**16
-    assert peak <= kept + 16 * emb.s + 2**16
+    assert peak <= kept + 2**16
 
 
 @pytest.mark.parametrize("change", [
@@ -413,8 +505,11 @@ CORRUPTIONS = {
     "int64 slots": lambda p: rewrite_cache_file(p, pos=lambda a: a.astype(np.int64)),
     "slot out of range": lambda p: rewrite_cache_file(p, pos=lambda a: a + 2**20),
     "negative slot": lambda p: rewrite_cache_file(p, pos=lambda a: a - 1),
-    "wrong s": lambda p: rewrite_cache_file(p, meta=lambda m: m * [1, 2, 1, 1, 1]),
-    "wrong ext": lambda p: rewrite_cache_file(p, meta=lambda m: m // [2, 4, 1, 1, 1]),
+    "wrong s": lambda p: rewrite_cache_file(p, meta=lambda m: m * [1, 2, 1, 1, 1, 1]),
+    "wrong ext": lambda p: rewrite_cache_file(p, meta=lambda m: m // [2, 4, 1, 1, 1, 1]),
+    "periodized flag 2": lambda p: rewrite_cache_file(p, meta=lambda m: m + [0, 0, 0, 0, 0, 2]),
+    # format 1 stored five build facts and no periodized flag
+    "format 1": lambda p: rewrite_cache_file(p, meta=lambda m: m[:5]),
     "a directory": lambda p: (p.unlink(), p.mkdir()),
 }
 
@@ -468,7 +563,7 @@ def reference_sample_field(e, zbar, y):
     return np.ascontiguousarray(z.T) + np.reshape(zbar, (n,) * dim)
 
 
-@pytest.mark.parametrize("dim,n", [(2, 17), (3, 9)])
+@pytest.mark.parametrize("dim,n", [(2, 33), (3, 9)])
 def test_blockwise_sampling_bitwise_and_lean(dim, n):
     # several scatter blocks; the sampler holds the half spectrum and one
     # block of products and indices, and nothing else s-sized (the slack
@@ -488,7 +583,9 @@ def test_embedding_keeps_only_the_sampling_map():
     emb = build_embedding(MaternParams(0.1, 1.0, 2.5), UniformGrid(dim=2, points_per_axis=9))
     resident = {k for k, v in vars(emb).items() if isinstance(v, np.ndarray)}
     assert resident == {"_spec_pos", "_spec_amp"}
-    assert (emb.ext_per_axis, emb.dct_screens, emb.fftn_calls) == (128, 4, 1)
+    # four doublings; the three padded past the diameter screen the
+    # periodized kernel too
+    assert (emb.ext_per_axis, emb.dct_screens, emb.fftn_calls) == (128, 6, 1)
     order = emb.importance_order
     assert emb.importance_order is order          # cached after first access
 

@@ -274,10 +274,25 @@ class TestTimingLedger:
         assert [r["ext"] for r in rows] == [2, 16, 64, 128]
         assert [r["s"] for r in rows] == [4, 256, 4096, 16384]
         assert [r["clamped"] for r in rows] == [0] * 4
-        # one screen per padding attempt, one full spectrum per accepted one
-        assert [r["dct_screens"] for r in rows] == [1, 3, 4, 4]
+        assert [r["periodized"] for r in rows] == [False] * 4
+        # one screen per kernel tried: one per padding attempt, two where
+        # the period exceeds twice the diameter; one full spectrum per
+        # accepted one
+        assert [r["dct_screens"] for r in rows] == [1, 4, 6, 6]
         assert [r["fftn_calls"] for r in rows] == [1] * 4
         assert "embeddings" not in (out / "manifest.json").read_text()
+
+    def test_periodized_embedding_recorded(self, tmp_path):
+        # CE grids of 9 and 17 points: problem 2's 17-point grid takes the
+        # periodized kernel at 16 domain lengths per axis
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"geometry": {"L": 1, "ce_offset": 3},
+                                    "estimator": {"eps": [1e-2]}, "seed": 4}))
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "problem2", "--config", str(cfgp),
+                     "--out", str(out)]) == 0
+        rows = json.loads((out / "timing.json").read_text())["embeddings"]
+        assert [(r["ext"], r["periodized"]) for r in rows] == [(128, False), (256, True)]
 
 
 class TestEmbeddingCache:
