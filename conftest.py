@@ -1,3 +1,6 @@
+# imported before numpy, the package pins OpenBLAS to one thread (see
+# mlqmcgrad/__init__.py), so tests run BLAS as the command line does
+import mlqmcgrad  # noqa: F401
 import pytest
 
 

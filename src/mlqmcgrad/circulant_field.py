@@ -11,7 +11,8 @@ The extension doubles until the embedding is positive semidefinite.  A
 Matern kernel that needs padding is also tried, at each rejected size,
 times a smooth cutoff that keeps it exact inside the domain and makes
 its periodization smooth (``build_embedding``); its period then stays
-fixed as the grid is refined, where the plain kernel's grows.
+fixed as the grid is refined, where the plain kernel's grows.  Each
+candidate kernel is tested by one full FFT of its circulant column.
 
 Each conjugate frequency pair of the extension contributes two real
 degrees of freedom (a cosine and a sine direction), each self-conjugate
@@ -125,10 +126,10 @@ class CirculantEmbedding:
     ``intp``) and its amplitude, 12 s bytes in all (12 MiB at s = 2^20).
     ``eigenvalues``, ``importance_order`` and ``_coord_eigs`` are
     computed from ``kernel`` on first access and then cached; they are
-    bitwise the values the build used.  ``dct_screens`` and
-    ``fftn_calls`` count the build's PSD screens and full spectra;
-    ``from_cache`` says whether this one was loaded from the disk cache
-    instead (the counters are then the stored build's).  ``kernel`` is
+    bitwise the values the build used.  ``fftn_calls`` counts the
+    kernels the build tried, one full spectrum each; ``from_cache`` says
+    whether this one was loaded from the disk cache instead (the count
+    is then the stored build's).  ``kernel`` is
     the one accepted: a ``PeriodizedMatern`` when the search fell back to
     smooth periodization (``periodized``).
     """
@@ -142,7 +143,6 @@ class CirculantEmbedding:
     # the complex half spectrum, and the amplitude that scales the input
     _spec_pos: np.ndarray = field(repr=False)
     _spec_amp: np.ndarray = field(repr=False)
-    dct_screens: int
     fftn_calls: int
     from_cache: bool = False
 
@@ -323,44 +323,21 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     return pos, amp
 
 
-def _lag_distance(grid: UniformGrid, m: int, sel) -> np.ndarray:
-    """Distances of the lags ``sel`` (index arrays into [0, m)^d, in
-    units of the spacing), summing the squares in axis order."""
+def _lag_distance(grid: UniformGrid, m: int) -> np.ndarray:
+    """Distances of the lags [0, m)^d (in units of the spacing), summing
+    the squares in axis order."""
     lag = np.arange(m) * grid.spacing
     if grid.dim == 1:
-        return lag[sel[0]]
-    return np.sqrt(sum(lag[i] ** 2 for i in sel))
+        return lag
+    return np.sqrt(sum(lag[i] ** 2 for i in np.indices((m,) * grid.dim)))
 
 
-def _lag_block(kernel, grid: UniformGrid, m: int,
-               corner: Optional[np.ndarray] = None) -> np.ndarray:
-    """The kernel on the lag block [0, m)^d (lags in units of the spacing).
-
-    Values are computed entry by entry, so the block of a smaller
-    extension is bitwise the corner of a larger one: entries inside
-    ``corner`` are copied from it, not evaluated again.  In 2-D only lags
-    i <= j are evaluated and mirrored, since a^2 + b^2 == b^2 + a^2
-    bitwise; in 3-D reordering the three squares changes the rounding.
-    """
-    dim = grid.dim
-    new = np.ones((m,) * dim, dtype=bool)
-    block = np.empty((m,) * dim)
-    if corner is not None:
-        inner = (slice(corner.shape[0]),) * dim
-        new[inner] = False
-        block[inner] = corner
-    if dim == 2:
-        new &= np.tri(m, dtype=bool).T             # i <= j
-    sel = np.nonzero(new)
-    dist = _lag_distance(grid, m, sel)
+def _lag_block(kernel, grid: UniformGrid, m: int) -> np.ndarray:
+    """The kernel on the lag block [0, m)^d (lags in units of the spacing)."""
+    dist = _lag_distance(grid, m)
     if callable(kernel):
-        block[sel] = np.asarray(kernel(dist), dtype=float)
-    else:
-        block[sel] = matern_cov(kernel, dist)
-    if dim == 2:
-        lower = np.tril_indices(m, -1)
-        block[lower] = block.T[lower]
-    return block
+        return np.asarray(kernel(dist), dtype=float)
+    return matern_cov(kernel, dist)
 
 
 def _mirror(block: np.ndarray, ext: int,
@@ -390,34 +367,6 @@ def _circulant_column(kernel, grid: UniformGrid, ext: int) -> np.ndarray:
     return _mirror(_lag_block(kernel, grid, ext // 2 + 1), ext)
 
 
-# A screened eigenvalue differs from the FFT's by rounding, a small multiple
-# of 1e-16 times the column's l1 norm (below 3e-16 on the preset grids).
-_SCREEN_MARGIN = 1e-12
-
-
-def _screen_rejects(block: np.ndarray, tol: float) -> bool:
-    """Whether the extension of ``block`` is surely not PSD up to ``tol``.
-
-    The DCT-I of the lag block gives the eigenvalues of its even
-    circulant extension, at frequencies [0, m)^d; the others mirror
-    them.  Per axis it is numpy's ``hfft`` of length 2(m - 1), whose
-    first m outputs are kept (scipy's ``dctn`` would add scipy.fft to
-    every start-up).  It rejects only where the FFT's eigenvalues, each
-    within the margin of these, would reject too; NaN never rejects, so
-    the FFT decides.
-    """
-    m = block.shape[0]
-    mult = np.full(m, 2.0)                   # copies of a lag in the column
-    mult[[0, -1]] = 1.0
-    eigs, l1 = block, np.abs(block)
-    for ax in range(block.ndim):
-        eigs = np.fft.hfft(eigs, n=2 * (m - 1), axis=ax)
-        eigs = eigs[(slice(None),) * ax + (slice(m),)]
-        l1 = mult @ l1                       # sums out one axis
-    margin = _SCREEN_MARGIN * l1
-    return bool(eigs.min() + margin < -tol * (eigs.max() + margin))
-
-
 def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
                     max_attempts: int = 12) -> CirculantEmbedding:
     """Build the circulant embedding of the covariance on ``grid``.
@@ -434,10 +383,9 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     Matern kernel is tried once more at the same extension, smoothly
     periodized (see ``_candidates``), before the extension doubles; the
     first accepted candidate is the embedding, and ``kernel`` records
-    which one it was.  The kernel is evaluated once per lag; each attempt
-    is screened by a DCT-I of the lag block, and the full FFT runs only
-    where the screen cannot reject, so every outcome is the one the FFT
-    gives.
+    which one it was.  Each candidate is tested by one full FFT of its
+    circulant column, and the build is paid for once per discretization:
+    later runs load it from the cache.
 
     A MaternParams embedding is first looked up in the disk cache (see
     ``_cache_file``), and a built one is stored there.  The cache is
@@ -488,24 +436,20 @@ def _candidates(kernel, grid: UniformGrid, ext: int, block: np.ndarray):
     periodized = _periodized(kernel, grid, ext)
     if periodized is not None:
         m = block.shape[0]
-        dist = _lag_distance(grid, m, np.indices((m,) * grid.dim))
+        dist = _lag_distance(grid, m)
         yield periodized, block * smooth_cutoff(dist, periodized.inner, periodized.outer)
 
 
 def _search(kernel, grid: UniformGrid, tol: float, max_attempts: int):
     """The search of ``build_embedding``: the accepted kernel, extension
-    and spectrum (a view of the complex FFT output), and the DCT screens
-    and full FFTs it took."""
+    and spectrum (a view of the complex FFT output), and the kernels it
+    tried, one full FFT each."""
     n = grid.points_per_axis
     ext = 2 * (n - 1)
-    block = None
-    screens = ffts = 0
+    ffts = 0
     for _ in range(max_attempts + 1):
-        block = _lag_block(kernel, grid, ext // 2 + 1, block)
+        block = _lag_block(kernel, grid, ext // 2 + 1)
         for found, found_block in _candidates(kernel, grid, ext, block):
-            screens += 1
-            if _screen_rejects(found_block, tol):
-                continue
             ffts += 1
             # the column goes straight into a complex array that the FFT
             # overwrites: no real copy or second complex array is held
@@ -513,7 +457,8 @@ def _search(kernel, grid: UniformGrid, tol: float, max_attempts: int):
             _mirror(found_block, ext, out=spec.real)
             eigs = np.fft.fftn(spec, out=spec).real
             if eigs.min() >= -tol * eigs.max():
-                return found, ext, eigs, screens, ffts
+                return found, ext, eigs, ffts
+            del spec, eigs          # freed before the next one is allocated
         ext *= 2
     raise PaddingExhausted(
         f"no positive semidefinite extension within {max_attempts} doublings "
@@ -526,20 +471,19 @@ def _build(kernel, grid: UniformGrid, tol: float,
     """The embedding ``_search`` accepts, without the cache.  The lag
     blocks are freed with the search, and the complex spectrum once its
     clamped copy is taken, before the map."""
-    found, ext, eigs, screens, ffts = _search(kernel, grid, tol, max_attempts)
+    found, ext, eigs, ffts = _search(kernel, grid, tol, max_attempts)
     clamped = int(np.count_nonzero(eigs < 0))
     eigs = np.maximum(eigs, 0.0).ravel()
     pos, amp = _spectrum_map(eigs, ext, grid.dim)   # amp is eigs
     return CirculantEmbedding(
         grid=grid, ext_per_axis=ext, s=ext**grid.dim, clamped=clamped,
-        kernel=found, _spec_pos=pos, _spec_amp=amp, dct_screens=screens,
-        fftn_calls=ffts)
+        kernel=found, _spec_pos=pos, _spec_amp=amp, fftn_calls=ffts)
 
 
 # -- disk cache of Matern embeddings -------------------------------------------
 
 # bump when the file layout changes
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 
 def _cache_file(kernel: MaternParams, grid: UniformGrid, tol: float,
@@ -571,8 +515,8 @@ def _store(path: Path, e: CirculantEmbedding):
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, np.array([e.ext_per_axis, e.s, e.clamped, e.dct_screens,
-                                  e.fftn_calls, e.periodized], dtype=np.int64))
+            np.save(fh, np.array([e.ext_per_axis, e.s, e.clamped, e.fftn_calls,
+                                  e.periodized], dtype=np.int64))
             np.save(fh, e._spec_pos)
             np.save(fh, e._spec_amp)
         os.replace(tmp, path)
@@ -599,8 +543,8 @@ def _load(path: Path, kernel: MaternParams, grid: UniformGrid) -> CirculantEmbed
     types and slot range are those a build on ``grid`` yields."""
     dim = grid.dim
     with open(path, "rb") as fh:
-        ext, s, clamped, screens, ffts, periodized = map(
-            int, _read_block(fh, np.int64, 6))
+        ext, s, clamped, ffts, periodized = map(
+            int, _read_block(fh, np.int64, 5))
         if ext < 2 * (grid.points_per_axis - 1) or s != ext**dim:
             raise ValueError("cached embedding does not match its key")
         if periodized:
@@ -613,8 +557,7 @@ def _load(path: Path, kernel: MaternParams, grid: UniformGrid) -> CirculantEmbed
         raise ValueError("cached embedding does not match its key")
     return CirculantEmbedding(
         grid=grid, ext_per_axis=ext, s=s, clamped=clamped, kernel=kernel,
-        _spec_pos=pos, _spec_amp=amp, dct_screens=screens, fftn_calls=ffts,
-        from_cache=True)
+        _spec_pos=pos, _spec_amp=amp, fftn_calls=ffts, from_cache=True)
 
 
 def _check_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:

@@ -445,12 +445,12 @@ class _Study:
         ledger["peak_rss_mb_run"] = estimators.peak_rss_mb()
         ledger["setup_seconds"] = self.setup_seconds
         # periodized: the smoothly periodized kernel was accepted;
-        # from_cache: loaded from the embedding cache (the counters are then
-        # those of the build that stored it)
+        # fftn_calls: the kernels tried; from_cache: loaded from the
+        # embedding cache (the count is then that of the build that stored it)
         ledger["embeddings"] = [
             {"level": ell, "ext": e.ext_per_axis, "s": e.s, "clamped": e.clamped,
-             "periodized": e.periodized, "dct_screens": e.dct_screens,
-             "fftn_calls": e.fftn_calls, "from_cache": e.from_cache}
+             "periodized": e.periodized, "fftn_calls": e.fftn_calls,
+             "from_cache": e.from_cache}
             for ell, e in enumerate(self.hier.embeddings)]
         self.paths["timing"] = _write_json(self.outdir / "timing.json", ledger)
         self.write_csv("level_cost", ["level", "ce_seconds", "fe_seconds", "correction"],

@@ -223,8 +223,7 @@ CALLABLE_KERNELS = {
     "gaussian": lambda d: 0.1 * np.exp(-(d / 0.3) ** 2),
     "damped_cosine": lambda d: 0.1 * np.exp(-d / 0.3) * np.cos(4.0 * d),
     # in 1-D its column is one Fourier mode at every extension, so most
-    # eigenvalues are zero up to rounding: clamping, and screens that
-    # cannot reject, so the FFT decides
+    # eigenvalues are zero up to rounding: clamping
     "cosine": lambda d: 0.1 * np.cos(np.pi * d),
 }
 
@@ -235,14 +234,14 @@ def periodizes(kernel, grid, ext):
     return isinstance(kernel, MaternParams) and ext * grid.spacing / 2 > math.sqrt(grid.dim)
 
 
-def screens_of(kernel, grid, emb):
-    """Screens of a search that accepted ``emb``: one per kernel tried at
-    each smaller extension, then the accepted one's."""
-    ext, screens = 2 * (grid.points_per_axis - 1), 0
+def candidates_of(kernel, grid, emb):
+    """Kernels tried by a search that accepted ``emb``: each one at every
+    smaller extension, then those up to the accepted one."""
+    ext, tried = 2 * (grid.points_per_axis - 1), 0
     while ext < emb.ext_per_axis:
-        screens += 1 + periodizes(kernel, grid, ext)
+        tried += 1 + periodizes(kernel, grid, ext)
         ext *= 2
-    return screens + 1 + emb.periodized
+    return tried + 1 + emb.periodized
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,7 +279,7 @@ def test_embedding_spectrum_and_order_bitwise(case, kernel, tol, attempts):
         clamped = int(np.count_nonzero(eigs < 0))
         eigs = np.maximum(eigs, 0.0)
     assert (emb.clamped, emb.s) == (clamped, ext**dim)
-    assert emb.fftn_calls >= 1 and emb.dct_screens == screens_of(kernel, grid, emb)
+    assert emb.fftn_calls == candidates_of(kernel, grid, emb)
     coord_eigs = reference_coordinates(eigs)[0]
     order = np.argsort(-coord_eigs, kind="stable")
     pos, amp = reference_spectrum_map(eigs, order)
@@ -409,8 +408,7 @@ def test_embedding_build_memory(embedding_cache):
 
 
 def assert_same_embedding(a, b):
-    for name in ("grid", "ext_per_axis", "s", "clamped", "kernel", "dct_screens",
-                 "fftn_calls"):
+    for name in ("grid", "ext_per_axis", "s", "clamped", "kernel", "fftn_calls"):
         assert getattr(a, name) == getattr(b, name), name
     for name in ("_spec_pos", "_spec_amp"):
         x, y = getattr(a, name), getattr(b, name)
@@ -505,11 +503,11 @@ CORRUPTIONS = {
     "int64 slots": lambda p: rewrite_cache_file(p, pos=lambda a: a.astype(np.int64)),
     "slot out of range": lambda p: rewrite_cache_file(p, pos=lambda a: a + 2**20),
     "negative slot": lambda p: rewrite_cache_file(p, pos=lambda a: a - 1),
-    "wrong s": lambda p: rewrite_cache_file(p, meta=lambda m: m * [1, 2, 1, 1, 1, 1]),
-    "wrong ext": lambda p: rewrite_cache_file(p, meta=lambda m: m // [2, 4, 1, 1, 1, 1]),
-    "periodized flag 2": lambda p: rewrite_cache_file(p, meta=lambda m: m + [0, 0, 0, 0, 0, 2]),
-    # format 1 stored five build facts and no periodized flag
-    "format 1": lambda p: rewrite_cache_file(p, meta=lambda m: m[:5]),
+    "wrong s": lambda p: rewrite_cache_file(p, meta=lambda m: m * [1, 2, 1, 1, 1]),
+    "wrong ext": lambda p: rewrite_cache_file(p, meta=lambda m: m // [2, 4, 1, 1, 1]),
+    "periodized flag 2": lambda p: rewrite_cache_file(p, meta=lambda m: m + [0, 0, 0, 0, 2]),
+    # format 2 stored six build facts: a DCT screen count before the FFTs
+    "format 2": lambda p: rewrite_cache_file(p, meta=lambda m: np.insert(m, 3, m[3])),
     "a directory": lambda p: (p.unlink(), p.mkdir()),
 }
 
@@ -583,9 +581,9 @@ def test_embedding_keeps_only_the_sampling_map():
     emb = build_embedding(MaternParams(0.1, 1.0, 2.5), UniformGrid(dim=2, points_per_axis=9))
     resident = {k for k, v in vars(emb).items() if isinstance(v, np.ndarray)}
     assert resident == {"_spec_pos", "_spec_amp"}
-    # four doublings; the three padded past the diameter screen the
-    # periodized kernel too
-    assert (emb.ext_per_axis, emb.dct_screens, emb.fftn_calls) == (128, 6, 1)
+    # four doublings; the three padded past the diameter try the
+    # periodized kernel too, one full FFT per kernel tried
+    assert (emb.ext_per_axis, emb.fftn_calls) == (128, 6)
     order = emb.importance_order
     assert emb.importance_order is order          # cached after first access
 
