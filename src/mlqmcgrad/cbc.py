@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circulant_field import UniformGrid, build_embedding
+from .circulant_field import UniformGrid, _ranked_representatives, _search
 from .covariance import MaternParams
 from .qmc import DEFAULT_M_MAX, DEFAULT_M_MIN
 
@@ -162,10 +162,14 @@ def embedded_cbc(gamma: Sequence[float], m_min: int = DEFAULT_M_MIN,
 def ce_weights(kernel: MaternParams = DEFAULT_KERNEL,
                points_per_axis: int = DEFAULT_POINTS_PER_AXIS,
                count: Optional[int] = None) -> np.ndarray:
-    """Product weights b_j = sqrt(2 lambda_j / s) in importance order."""
-    emb = build_embedding(kernel, UniformGrid(dim=2, points_per_axis=points_per_axis))
-    lam = emb._coord_eigs[emb.importance_order]
-    b = np.sqrt(2.0 * lam / emb.s)
+    """Product weights b_j = sqrt(2 lambda_j / s) in importance order:
+    the clamped spectrum of ``build_embedding``'s search, ranked as the
+    embedding ranks its inputs."""
+    grid = UniformGrid(dim=2, points_per_axis=points_per_axis)
+    _, ext, eigs, _ = _search(kernel, grid)
+    _, _, lam, per_rep = _ranked_representatives(np.maximum(eigs, 0.0).ravel(),
+                                                  ext, grid.dim)
+    b = np.sqrt(2.0 * np.repeat(lam, per_rep) / ext**grid.dim)
     return b if count is None else b[:count]
 
 

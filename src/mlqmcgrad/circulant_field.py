@@ -39,7 +39,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -47,7 +46,7 @@ import numpy as np
 import scipy
 
 from . import covariance
-from .covariance import MaternParams, PeriodizedMatern, matern_cov, smooth_cutoff
+from .covariance import MaternParams, matern_cov, smooth_cutoff
 
 __all__ = [
     "UniformGrid",
@@ -113,63 +112,34 @@ class UniformGrid:
 
 @dataclass(frozen=True)
 class CirculantEmbedding:
-    """Eigen-factorization of the circulant extension of the covariance.
+    """The sampling map of the circulant extension of the covariance.
 
     ``s`` is the stochastic dimension: the number of real standard-normal
-    inputs one sample consumes, equal to the extended grid size.
-    ``importance_order[r]`` is the internal coordinate driven by input
-    coordinate r; inputs are ranked by descending eigenvalue, ties broken
-    by ascending frequency index (cosine before sine).
+    inputs one sample consumes, equal to the extended grid size.  Inputs
+    are ranked by descending eigenvalue, ties broken by ascending
+    frequency index (cosine before sine).
 
-    Only what sampling reads stays resident: per input coordinate, its
-    slot in the half spectrum (``int32`` where the slots fit, else
-    ``intp``) and its amplitude, 12 s bytes in all (12 MiB at s = 2^20).
-    ``eigenvalues``, ``importance_order`` and ``_coord_eigs`` are
-    computed from ``kernel`` on first access and then cached; they are
-    bitwise the values the build used.  ``fftn_calls`` counts the
-    kernels the build tried, one full spectrum each; ``from_cache`` says
-    whether this one was loaded from the disk cache instead (the count
-    is then the stored build's).  ``kernel`` is
-    the one accepted: a ``PeriodizedMatern`` when the search fell back to
-    smooth periodization (``periodized``).
+    Only what sampling reads is kept: per input coordinate, its slot in
+    the half spectrum (``int32`` where the slots fit, else ``intp``) and
+    its amplitude, 12 s bytes in all (12 MiB at s = 2^20).
+    ``periodized`` says whether the search accepted the smoothly
+    periodized Matern kernel.  ``fftn_calls`` counts the kernels the
+    build tried, one full spectrum each; ``from_cache`` says whether this
+    one was loaded from the disk cache instead (the count is then the
+    stored build's).
     """
 
     grid: UniformGrid
     ext_per_axis: int
     s: int
     clamped: int                     # eigenvalues clamped to zero
-    kernel: object = field(repr=False)   # as passed to build_embedding
+    periodized: bool
     # per input coordinate (importance order): slot in the float64 view of
     # the complex half spectrum, and the amplitude that scales the input
     _spec_pos: np.ndarray = field(repr=False)
     _spec_amp: np.ndarray = field(repr=False)
     fftn_calls: int
     from_cache: bool = False
-
-    @property
-    def periodized(self) -> bool:
-        return isinstance(self.kernel, PeriodizedMatern)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Per frequency, extended grid shape, negatives clamped to zero."""
-        col = _circulant_column(self.kernel, self.grid, self.ext_per_axis)
-        return np.maximum(np.fft.fftn(col).real, 0.0)
-
-    @cached_property
-    def _canonical(self):
-        return _canonical_coordinates(self.eigenvalues.ravel(),
-                                      self.ext_per_axis, self.grid.dim)
-
-    @cached_property
-    def importance_order(self) -> np.ndarray:
-        """Shape (s,), a permutation of range(s)."""
-        return self._canonical[1]
-
-    @cached_property
-    def _coord_eigs(self) -> np.ndarray:
-        """Eigenvalue per canonical coordinate (see _canonical_coordinates)."""
-        return self._canonical[0]
 
 
 @dataclass
@@ -206,36 +176,27 @@ def _representatives(ext: int, dim: int, idx: type = np.intp):
     return rep, rep_conj, (rep_conj != rep) + np.int8(1)
 
 
-def _ranking(neg_eigs: np.ndarray, count: np.ndarray, idx: type = np.intp):
-    """Rank representatives by descending eigenvalue, stably, from their
-    negated eigenvalues ``neg_eigs``.
+def _ranked_representatives(eigs_flat: np.ndarray, ext: int, dim: int,
+                            idx: type = np.intp):
+    """The representatives of ``_representatives``, their conjugates,
+    eigenvalues (read from the clamped spectrum ``eigs_flat``) and
+    coordinate counts, ranked by descending eigenvalue, stably.
 
     Expanding them ranks coordinates stably too: a representative's
-    coordinates share one eigenvalue.  Returns the order, the ranked
-    counts and, per ranked representative, the input index past its
-    coordinates (as ``idx``).
+    coordinates share one eigenvalue.  This is the importance order of
+    the inputs.
     """
-    order = np.argsort(neg_eigs, kind="stable")
-    count = count[order]
-    return order, count, np.cumsum(count, dtype=idx)
-
-
-def _canonical_coordinates(eigs_flat: np.ndarray, ext: int, dim: int):
-    """The eigenvalue per canonical coordinate and the importance order.
-
-    Canonical order: ascending frequency index, one coordinate for a
-    self-conjugate frequency (-k == k mod ext on every axis), a cosine
-    then a sine coordinate for the smaller flat index of each pair
-    {k, -k}, none for its partner.  Input coordinates are ranked by
-    descending eigenvalue, ties broken by canonical index.
-    """
-    rep, _, count = _representatives(ext, dim)
+    rep, rep_conj, count = _representatives(ext, dim, idx)
     rep_eigs = eigs_flat[rep]
-    order, ranked, ends = _ranking(-rep_eigs, count)
-    first = np.cumsum(count) - count
-    importance = np.repeat(first[order], ranked)
-    importance[ends[ranked == 2] - 1] += 1          # sine coordinates
-    return np.repeat(rep_eigs, count), importance
+    # negated in place for the sort and back: -(-x) is x bitwise
+    order = np.argsort(np.negative(rep_eigs, out=rep_eigs), kind="stable")
+    np.negative(rep_eigs, out=rep_eigs)
+    # one array at a time, each freed once its ranked copy is made
+    rep = rep[order]
+    rep_conj = rep_conj[order]
+    rep_eigs = rep_eigs[order]
+    count = count[order]
+    return rep, rep_conj, rep_eigs, count
 
 
 def _slot_count(ext: int, dim: int) -> int:
@@ -251,7 +212,8 @@ def _slot_type(ext: int, dim: int) -> type:
 def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     """Per input coordinate, its half-spectrum slot and amplitude.
 
-    Inputs follow the importance order of ``_canonical_coordinates``.
+    Inputs are ranked by ``_ranked_representatives``, a pair's cosine
+    before its sine.
     Returns each input's slot in the float64 view of the half spectrum
     and the amplitude that scales it.  The half spectrum keeps ext//2 + 1
     bins of the last frequency axis and stores the axes in reverse
@@ -268,15 +230,14 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
 
     ``eigs_flat`` is spent: its buffer takes the amplitudes.  Index
     arithmetic runs in 32 bits where the slots fit, and each array is
-    dropped once spent, so at s = 2^20 the map holds at most about 18 MiB
+    dropped once spent, so at s = 2^20 the map holds at most about 17 MiB
     next to the 8 MiB of ``eigs_flat``.
     """
     half = ext // 2 + 1
     s = ext**dim
     n_lead = ext ** (dim - 1)
     idx = _slot_type(ext, dim)
-    rep, rep_conj, count = _representatives(ext, dim, idx)
-    rep_eigs = eigs_flat[rep]
+    rep, rep_conj, rep_eigs, count = _ranked_representatives(eigs_flat, ext, dim, idx)
 
     # half-spectrum slot: k itself, or -k when k_last is past ext/2
     lead, last = np.divmod(rep, ext)
@@ -290,6 +251,7 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     amp_rep[count == 1] = 1.0                      # self-conjugate
     amp_rep *= s
     amp_rep *= rep_eigs
+    del rep_eigs
     np.sqrt(amp_rep, out=amp_rep)
     # flat index of the leading frequency axes in reverse order
     rev_lead = np.arange(n_lead, dtype=idx).reshape((ext,) * (dim - 1)).T.ravel()
@@ -298,18 +260,12 @@ def _spectrum_map(eigs_flat: np.ndarray, ext: int, dim: int):
     last *= n_lead
     slot += last
     del last
-
-    order, count, ends = _ranking(np.negative(rep_eigs, out=rep_eigs), count, idx)
-    del rep_eigs
-    amp_rep = amp_rep[order]
-    slot = slot[order]
-    mirrored = mirrored[order]
-    del order
     slot *= 2
+
     # a ranked representative's inputs run from ends - count (its cosine,
     # or its only coordinate) to ends - 1 (its sine)
     amp, pos = eigs_flat, np.empty(s, dtype=idx)
-    at = ends
+    at = np.cumsum(count, dtype=idx)
     at -= count
     amp[at] = amp_rep
     pos[at] = slot
@@ -358,15 +314,6 @@ def _mirror(block: np.ndarray, ext: int,
     return out
 
 
-def _circulant_column(kernel, grid: UniformGrid, ext: int) -> np.ndarray:
-    """First column of the nested circulant extension of the covariance.
-
-    The folded lag min(l, ext - l) takes ext//2 + 1 values per axis, so
-    the kernel is evaluated on that corner block and mirrored out.
-    """
-    return _mirror(_lag_block(kernel, grid, ext // 2 + 1), ext)
-
-
 def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
                     max_attempts: int = 12) -> CirculantEmbedding:
     """Build the circulant embedding of the covariance on ``grid``.
@@ -382,7 +329,7 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     extension the kernel itself is tried first.  Where it is rejected, a
     Matern kernel is tried once more at the same extension, smoothly
     periodized (see ``_candidates``), before the extension doubles; the
-    first accepted candidate is the embedding, and ``kernel`` records
+    first accepted candidate is the embedding, and ``periodized`` records
     which one it was.  Each candidate is tested by one full FFT of its
     circulant column, and the build is paid for once per discretization:
     later runs load it from the cache.
@@ -414,42 +361,44 @@ def build_embedding(kernel, grid: UniformGrid, tol: float = 1e-13,
     return emb
 
 
-def _periodized(kernel, grid: UniformGrid, ext: int) -> Optional[PeriodizedMatern]:
-    """The smoothly periodized form of a Matern ``kernel`` at extension
-    ``ext``: the kernel times a cutoff that is 1 up to sqrt(d), the
-    diameter of the unit cube, and 0 from half the period ext * spacing.
+def _periodized(kernel, grid: UniformGrid, ext: int) -> Optional[float]:
+    """Where a Matern ``kernel`` is smoothly periodized at extension
+    ``ext``: the radius, half the period ext * spacing, from which the
+    cutoff is 0; it is 1 up to sqrt(d), the diameter of the unit cube.
     None for a callable kernel, or where half the period is not past
     sqrt(d)."""
     if not isinstance(kernel, MaternParams):
         return None
-    inner, outer = math.sqrt(grid.dim), ext * grid.spacing / 2
-    return PeriodizedMatern(kernel, inner, outer) if outer > inner else None
+    outer = ext * grid.spacing / 2
+    return outer if outer > math.sqrt(grid.dim) else None
 
 
 def _candidates(kernel, grid: UniformGrid, ext: int, block: np.ndarray):
-    """The kernels tried at extension ``ext``, each with its lag block:
-    ``kernel`` itself, then its smoothly periodized form where there is
-    one.  The periodized block reuses ``block``'s Matern values; inside
-    the domain the cutoff is exactly 1, so there it is ``block`` bitwise
-    and the sampled field keeps the Matern law on the grid."""
-    yield kernel, block
-    periodized = _periodized(kernel, grid, ext)
-    if periodized is not None:
-        m = block.shape[0]
-        dist = _lag_distance(grid, m)
-        yield periodized, block * smooth_cutoff(dist, periodized.inner, periodized.outer)
+    """The kernels tried at extension ``ext``, each as whether it is the
+    periodized one and its lag block: ``kernel`` itself, then its smoothly
+    periodized form where there is one.  The periodized block reuses
+    ``block``'s Matern values; inside the domain the cutoff is exactly 1,
+    so there it is ``block`` bitwise and the sampled field keeps the
+    Matern law on the grid."""
+    yield False, block
+    outer = _periodized(kernel, grid, ext)
+    if outer is not None:
+        dist = _lag_distance(grid, block.shape[0])
+        yield True, block * smooth_cutoff(dist, math.sqrt(grid.dim), outer)
 
 
-def _search(kernel, grid: UniformGrid, tol: float, max_attempts: int):
-    """The search of ``build_embedding``: the accepted kernel, extension
-    and spectrum (a view of the complex FFT output), and the kernels it
-    tried, one full FFT each."""
+def _search(kernel, grid: UniformGrid, tol: float = 1e-13,
+            max_attempts: int = 12):
+    """The search of ``build_embedding``: whether it accepted the
+    periodized kernel, the extension and spectrum (a view of the complex
+    FFT output), and the kernels it tried, one full FFT each.  Its
+    defaults are ``build_embedding``'s."""
     n = grid.points_per_axis
     ext = 2 * (n - 1)
     ffts = 0
     for _ in range(max_attempts + 1):
         block = _lag_block(kernel, grid, ext // 2 + 1)
-        for found, found_block in _candidates(kernel, grid, ext, block):
+        for periodized, found_block in _candidates(kernel, grid, ext, block):
             ffts += 1
             # the column goes straight into a complex array that the FFT
             # overwrites: no real copy or second complex array is held
@@ -457,7 +406,7 @@ def _search(kernel, grid: UniformGrid, tol: float, max_attempts: int):
             _mirror(found_block, ext, out=spec.real)
             eigs = np.fft.fftn(spec, out=spec).real
             if eigs.min() >= -tol * eigs.max():
-                return found, ext, eigs, ffts
+                return periodized, ext, eigs, ffts
             del spec, eigs          # freed before the next one is allocated
         ext *= 2
     raise PaddingExhausted(
@@ -471,13 +420,13 @@ def _build(kernel, grid: UniformGrid, tol: float,
     """The embedding ``_search`` accepts, without the cache.  The lag
     blocks are freed with the search, and the complex spectrum once its
     clamped copy is taken, before the map."""
-    found, ext, eigs, ffts = _search(kernel, grid, tol, max_attempts)
+    periodized, ext, eigs, ffts = _search(kernel, grid, tol, max_attempts)
     clamped = int(np.count_nonzero(eigs < 0))
     eigs = np.maximum(eigs, 0.0).ravel()
     pos, amp = _spectrum_map(eigs, ext, grid.dim)   # amp is eigs
     return CirculantEmbedding(
         grid=grid, ext_per_axis=ext, s=ext**grid.dim, clamped=clamped,
-        kernel=found, _spec_pos=pos, _spec_amp=amp, fftn_calls=ffts)
+        periodized=periodized, _spec_pos=pos, _spec_amp=amp, fftn_calls=ffts)
 
 
 # -- disk cache of Matern embeddings -------------------------------------------
@@ -540,24 +489,24 @@ def _read_block(fh, dtype, count: int) -> np.ndarray:
 
 def _load(path: Path, kernel: MaternParams, grid: UniformGrid) -> CirculantEmbedding:
     """The embedding stored at ``path``; ValueError unless its shapes,
-    types and slot range are those a build on ``grid`` yields."""
+    types, periodized flag and slot range are those a build on ``grid``
+    can yield."""
     dim = grid.dim
     with open(path, "rb") as fh:
         ext, s, clamped, ffts, periodized = map(
             int, _read_block(fh, np.int64, 5))
-        if ext < 2 * (grid.points_per_axis - 1) or s != ext**dim:
+        if (ext < 2 * (grid.points_per_axis - 1) or s != ext**dim
+                or periodized not in (0, 1)
+                or periodized and _periodized(kernel, grid, ext) is None):
             raise ValueError("cached embedding does not match its key")
-        if periodized:
-            kernel = _periodized(kernel, grid, ext)
-            if periodized != 1 or kernel is None:
-                raise ValueError("cached embedding does not match its key")
         pos = _read_block(fh, _slot_type(ext, dim), s)
         amp = _read_block(fh, np.float64, s)
     if pos.min() < 0 or pos.max() >= _slot_count(ext, dim):
         raise ValueError("cached embedding does not match its key")
     return CirculantEmbedding(
-        grid=grid, ext_per_axis=ext, s=s, clamped=clamped, kernel=kernel,
-        _spec_pos=pos, _spec_amp=amp, fftn_calls=ffts, from_cache=True)
+        grid=grid, ext_per_axis=ext, s=s, clamped=clamped,
+        periodized=bool(periodized), _spec_pos=pos, _spec_amp=amp,
+        fftn_calls=ffts, from_cache=True)
 
 
 def _check_inputs(e: CirculantEmbedding, y: np.ndarray) -> np.ndarray:

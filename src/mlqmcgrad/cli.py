@@ -26,6 +26,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -67,7 +68,7 @@ MAX_FE_EXPONENT = 8
 _DEFAULTS = {
     "problem": {"sigma2": 0.1, "lambda_c": 1.0, "nu": 0.5, "mean": 0.0},
     "geometry": {"L": 4, "fe_offset": 2, "ce_offset": 0, "ce_tol": 1e-13},
-    "qmc": {"generating_vector": None, "R": 10, "n_min": 8, "n_max": 2**20},
+    "qmc": {"generating_vector": None, "R": 10, "n_max": 2**20},
     "estimator": {
         "method": "mlqmc",
         "eps": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
@@ -88,7 +89,13 @@ _DEFAULTS = {
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float: JSON's 1e400 and Infinity read as inf."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:       # an int past the float range
+        return False
 
 
 def _is_int(v) -> bool:
@@ -99,7 +106,7 @@ def _int_from(lo: int):
     return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
 
 
-_POSITIVE = (lambda v: _is_number(v) and v > 0), "a number > 0"
+_POSITIVE = (lambda v: _is_number(v) and v > 0), "a finite number > 0"
 _OBJECT = (lambda v: isinstance(v, dict)), "an object"
 
 # (section, key) -> (accepts, what it must be) for every value of
@@ -108,21 +115,23 @@ _OBJECT = (lambda v: isinstance(v, dict)), "an object"
 _RULES = {
     ("problem", "sigma2"): _POSITIVE, ("problem", "lambda_c"): _POSITIVE,
     ("problem", "nu"): _POSITIVE,
-    ("problem", "mean"): ((lambda v: _is_number(v) and np.isfinite(v)),
-                          "a finite number"),
+    ("problem", "mean"): (_is_number, "a finite number"),
     ("geometry", "L"): ((lambda v: _is_int(v) and 0 <= v <= MAX_LEVELS),
                         f"an integer in [0, {MAX_LEVELS}]"),
     ("geometry", "fe_offset"): _int_from(1), ("geometry", "ce_offset"): _int_from(0),
-    ("geometry", "ce_tol"): ((lambda v: _is_number(v) and v >= 0), "a number >= 0"),
+    ("geometry", "ce_tol"): ((lambda v: _is_number(v) and v >= 0),
+                             "a finite number >= 0"),
     ("qmc", "generating_vector"): ((lambda v: v is None or isinstance(v, str)),
                                    "null or a path"),
-    ("qmc", "R"): _int_from(2), ("qmc", "n_min"): _int_from(1),
-    ("qmc", "n_max"): _int_from(1),
+    ("qmc", "R"): _int_from(2),
+    # random entries below n_max are drawn and stored in int64
+    ("qmc", "n_max"): ((lambda v: _is_int(v) and 2 <= v <= 2**63),
+                       "an integer in [2, 2^63]"),
     ("estimator", "method"): ((lambda v: v in estimators.METHODS),
                               f"one of {estimators.METHODS}"),
     ("estimator", "eps"): ((lambda v: isinstance(v, list) and len(v) > 0
                             and all(_is_number(e) and e > 0 for e in v)),
-                           "a non-empty list of numbers > 0"),
+                           "a non-empty list of finite numbers > 0"),
     ("estimator", "cost_cap"): _POSITIVE, ("estimator", "kappa"): _POSITIVE,
     ("estimator", "warmup_qmc"): _int_from(1),
     ("estimator", "warmup_mc"): ((lambda v: v is None or (_is_int(v) and v >= 2)),
@@ -198,8 +207,6 @@ class RunConfig:
                 f"geometry.fe_offset + L must be <= {MAX_FE_EXPONENT} (finest mesh "
                 f"at most {2 ** MAX_FE_EXPONENT + 1} nodes per axis), "
                 f"got {geo['fe_offset']} + {geo['L']}")
-        if qcfg["n_max"] < qcfg["n_min"]:
-            raise ConfigError("qmc.n_max must be >= qmc.n_min")
         if vs_cfg["n_exp_max"] < vs_cfg["n_exp_min"]:
             raise ConfigError("variance_study.n_exp_max must be >= n_exp_min")
         eps = data["estimator"]["eps"]
@@ -214,7 +221,7 @@ class RunConfig:
             return None
         try:
             return qmc.load_generating_vector(qcfg["generating_vector"],
-                                              n_min=qcfg["n_min"], n_max=qcfg["n_max"])
+                                              n_max=qcfg["n_max"])
         except (OSError, ValueError, OverflowError) as exc:
             raise ConfigError(f"qmc.generating_vector: {exc}") from None
 
@@ -263,11 +270,19 @@ def load_config(path=None, preset: Optional[str] = None,
 # -- objective functions -------------------------------------------------------
 
 
+def _spec_number(spec: dict, key: str, default: float) -> float:
+    """The finite number ``spec[key]`` (``default`` when absent)."""
+    value = float(spec.get(key, default))
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def make_field_function(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     """Build a target/control callable from its config spec."""
     kind = spec.get("kind")
     if kind == "indicator_square":
-        lo, hi = float(spec.get("lo", 0.25)), float(spec.get("hi", 0.75))
+        lo, hi = _spec_number(spec, "lo", 0.25), _spec_number(spec, "hi", 0.75)
 
         def indicator(x: np.ndarray) -> np.ndarray:
             # signed distance to the square; points on the jump get the
@@ -281,7 +296,7 @@ def make_field_function(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
 
         return indicator
     if kind == "cosine_bumps":
-        scale = float(spec.get("scale", 5.0))
+        scale = _spec_number(spec, "scale", 5.0)
 
         def bumps(x: np.ndarray) -> np.ndarray:
             return scale * (1.0 - np.cos(2 * np.pi * x[:, 0])) \
@@ -291,7 +306,7 @@ def make_field_function(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     if kind == "zero":
         return lambda x: np.zeros(x.shape[0])
     if kind == "constant":
-        value = float(spec.get("value", 1.0))
+        value = _spec_number(spec, "value", 1.0)
         return lambda x: np.full(x.shape[0], value)
     raise ConfigError(f"unknown field function kind {kind!r}")
 

@@ -5,12 +5,12 @@ covariance (nu = 1/2) and arbitrarily smooth fields as nu grows.  Kernels
 are functions of scalar distance only (isotropic), which is what the
 circulant embedding of the covariance matrix requires.
 
-``PeriodizedMatern`` is the Matern kernel times a smooth cutoff
-(``smooth_cutoff``): it equals the Matern kernel up to a distance and
-vanishes from a larger one, so its periodization on a torus twice that
-larger distance long is smooth and keeps every covariance inside the
-smaller distance (Bachmayr, Graham, Nguyen and Scheichl, SIAM J. Numer.
-Anal. 2020).
+The circulant embedding may multiply the Matern kernel by a smooth
+cutoff (``smooth_cutoff``): the product equals the Matern kernel up to a
+distance and vanishes from a larger one, so its periodization on a torus
+twice that larger distance long is smooth and keeps every covariance
+inside the smaller distance (Bachmayr, Graham, Nguyen and Scheichl, SIAM
+J. Numer. Anal. 2020).
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import gammaln, kv
 
-__all__ = ["MaternParams", "MeanField", "PeriodizedMatern", "matern_cov",
-           "smooth_cutoff"]
+__all__ = ["MaternParams", "MeanField", "matern_cov", "smooth_cutoff"]
 
 # Below this argument the Bessel product is evaluated by its r -> 0 limit;
 # kv underflows/overflows long before the limit stops being accurate here.
@@ -113,18 +112,3 @@ def smooth_cutoff(r, inner: float, outer: float) -> np.ndarray:
         drop = np.exp(-1.0 / np.maximum(u, 0.0))           # f(u)
     return keep / (keep + drop)
 
-
-@dataclass(frozen=True)
-class PeriodizedMatern:
-    """The Matern kernel times ``smooth_cutoff(r, inner, outer)``.
-
-    Equal to ``matern_cov(params, r)`` bitwise for r <= inner (the
-    cutoff is exactly 1 there) and zero from ``outer`` on.
-    """
-
-    params: MaternParams
-    inner: float
-    outer: float
-
-    def __call__(self, r) -> np.ndarray:
-        return matern_cov(self.params, r) * smooth_cutoff(r, self.inner, self.outer)

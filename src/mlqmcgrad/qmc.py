@@ -50,8 +50,6 @@ class GeneratingVector:
     ``entries`` holds positive integers; the first ``loaded_prefix``
     entries came from a file, the rest from seeded random extension
     (odd integers, coprime with power-of-two point counts).
-    ``n_min``/``n_max`` bound the point counts the loaded prefix is
-    meant for; nothing enforces that range.
 
     Entries lie below ``n_max``, so they are stored as ``int32`` when
     ``n_max <= 2^31`` (4 bytes per entry: 4 MB for the 2^20 entries of
@@ -63,7 +61,6 @@ class GeneratingVector:
     """
 
     entries: np.ndarray
-    n_min: int = 8
     n_max: int = 2**20
     loaded_prefix: int = 0
 
@@ -203,8 +200,7 @@ def extend_vector(gv: GeneratingVector, s_needed: int,
     return replace(gv, entries=entries)
 
 
-def load_generating_vector(path: Union[str, Path], n_min: int = 8,
-                           n_max: int = 2**20) -> GeneratingVector:
+def load_generating_vector(path: Union[str, Path], n_max: int = 2**20) -> GeneratingVector:
     """Parse a generating-vector file.
 
     Lines hold either a single integer or an "index value" pair (the
@@ -261,15 +257,13 @@ def load_generating_vector(path: Union[str, Path], n_min: int = 8,
                              f"of at most 18 digits")
         raise ValueError(f"{where}: index {index[k]}, expected {k + 1}")
     return GeneratingVector(
-        entries=value[first + ncols - 1], n_min=n_min, n_max=n_max,
-        loaded_prefix=first.size)
+        entries=value[first + ncols - 1], n_max=n_max, loaded_prefix=first.size)
 
 
 def default_generating_vector() -> GeneratingVector:
     """The packaged default lattice generating vector.
 
     Built by ``python -m mlqmcgrad.cbc`` for N = 2^3 .. 2^12 points (see
-    the file's header); its ``n_min``/``n_max`` state that range.
+    the file's header); its ``n_max`` is the top of that range.
     """
-    return load_generating_vector(_DATA_FILE, n_min=2**DEFAULT_M_MIN,
-                                  n_max=2**DEFAULT_M_MAX)
+    return load_generating_vector(_DATA_FILE, n_max=2**DEFAULT_M_MAX)

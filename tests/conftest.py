@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlqmcgrad.covariance import MaternParams, MeanField, matern_cov
+from mlqmcgrad.covariance import MaternParams, MeanField, matern_cov, smooth_cutoff
 from mlqmcgrad.estimators import LevelHierarchy
 from mlqmcgrad.fem import TargetAndControl
 
@@ -74,22 +74,13 @@ def quad_eval_matrix(lev):
 
 
 
-def assign_inputs(e, y):
-    """Scatter an importance-ordered input vector to canonical coordinates:
-    input r drives the internal coordinate ``importance_order[r]``."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (e.s,):
-        raise ValueError(f"expected input of length s={e.s}, got {y.shape}")
-    out = np.empty_like(y)
-    out[e.importance_order] = y
-    return out
-
-
 def factor_row(e, i):
-    """Row i of the factor B (canonical coordinate order), i < m.
+    """Row i of the factor B, i < m, in input order: entry r is what
+    input r adds to the field at grid point i.
 
     B B^T reproduces the covariance matrix exactly up to FFT roundoff
-    whenever no eigenvalue clamping occurred.
+    whenever no eigenvalue clamping occurred; it does not depend on the
+    order of the columns.
     """
     m = e.grid.num_points
     if not (0 <= i < m):
@@ -102,9 +93,30 @@ def factor_row(e, i):
     # irfft counts a bin strictly inside the last axis twice
     mult = np.where((k[-1] == 0) | (k[-1] == ext // 2), 1.0, 2.0)
     trig = np.where(part == 0, np.cos(theta), -np.sin(theta))
-    row = np.empty(e.s)
-    row[e.importance_order] = e._spec_amp * mult * trig / e.s
-    return row
+    return e._spec_amp * mult * trig / e.s
+
+
+def periodized_kernel(kernel, grid, ext):
+    """The Matern ``kernel`` times the smooth cutoff that the search tries
+    at extension ``ext``: 1 up to sqrt(d), 0 from half the period."""
+    inner, outer = np.sqrt(grid.dim), ext * grid.spacing / 2
+    return lambda r: matern_cov(kernel, r) * smooth_cutoff(r, inner, outer)
+
+
+def input_coordinates(e):
+    """The canonical coordinate each input drives, read from its slot:
+    the importance order.  Canonical order is ascending frequency index
+    of the smaller flat index of each pair {k, -k} (or of a
+    self-conjugate k), a pair's cosine before its sine."""
+    dim, ext = e.grid.dim, e.ext_per_axis
+    slot, sine = np.divmod(e._spec_pos.astype(np.int64), 2)
+    k = np.unravel_index(slot, (ext // 2 + 1,) + (ext,) * (dim - 1))[::-1]
+    shape = (ext,) * dim
+    flat = np.ravel_multi_index(k, shape)
+    conj = np.ravel_multi_index(tuple((-np.array(k)) % ext), shape)
+    coord = np.empty(e.s, dtype=np.int64)
+    coord[np.lexsort((sine, np.minimum(flat, conj)))] = np.arange(e.s)
+    return coord
 
 
 def reference_column(kernel, grid, ext):

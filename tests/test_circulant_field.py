@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (assign_inputs, doubling_search, factor_row, reference_column,
-                      rewrite_cache_file)
+from conftest import (doubling_search, factor_row, input_coordinates, periodized_kernel,
+                      reference_column, rewrite_cache_file)
 from mlqmcgrad import circulant_field as cf, covariance
-from mlqmcgrad.covariance import (MaternParams, MeanField, PeriodizedMatern, matern_cov,
-                                  smooth_cutoff)
+from mlqmcgrad.covariance import MaternParams, MeanField, matern_cov, smooth_cutoff
 from mlqmcgrad.circulant_field import (
     FieldRealization,
-    _circulant_column,
     NestingViolation,
     PaddingExhausted,
     UniformGrid,
@@ -43,6 +41,20 @@ def dense_factor(emb):
     return np.array([factor_row(emb, i) for i in range(emb.grid.num_points)])
 
 
+def search_spectrum(kernel, grid):
+    """The clamped spectrum that ``build_embedding``'s search accepts."""
+    return np.maximum(cf._search(kernel, grid, 1e-13, 12)[2], 0.0)
+
+
+def accepted_spectrum(kernel, grid, emb):
+    """The clamped spectrum of the kernel ``emb`` accepted, from its
+    values on every lag."""
+    ext = emb.ext_per_axis
+    if emb.periodized:
+        kernel = periodized_kernel(kernel, grid, ext)
+    return np.maximum(np.fft.fftn(reference_column(kernel, grid, ext)).real, 0.0)
+
+
 def test_two_point_1d_example():
     # oracle: eigen-decomposition of the explicit 2x2 circulant
     kernel = MaternParams(sigma2=1.0, lambda_c=1.0, nu=0.5)
@@ -50,7 +62,8 @@ def test_two_point_1d_example():
     assert emb.ext_per_axis == 2 and emb.s == 2
     C = np.array([[1.0, np.exp(-1.0)], [np.exp(-1.0), 1.0]])
     expected = np.sort(np.linalg.eigvalsh(C))
-    assert np.allclose(np.sort(emb.eigenvalues.ravel()), expected, atol=1e-14)
+    eigs = search_spectrum(kernel, emb.grid)
+    assert np.allclose(np.sort(eigs.ravel()), expected, atol=1e-14)
     B = dense_factor(emb)
     assert np.abs(B @ B.T - C).max() < 1e-12
 
@@ -58,9 +71,10 @@ def test_two_point_1d_example():
 def test_diagonal_surrogate_flat_spectrum():
     sigma2 = 0.7
     grid = UniformGrid(dim=2, points_per_axis=3)
-    emb = build_embedding(lambda d: np.where(d == 0.0, sigma2, 0.0), grid)
+    kernel = lambda d: np.where(d == 0.0, sigma2, 0.0)    # noqa: E731
+    emb = build_embedding(kernel, grid)
     assert emb.ext_per_axis == 4  # minimal extension, no padding
-    assert np.allclose(emb.eigenvalues, sigma2)
+    assert np.allclose(search_spectrum(kernel, grid), sigma2)
     assert emb.s == 4**2
     B = dense_factor(emb)
     assert np.abs(B @ B.T - sigma2 * np.eye(grid.num_points)).max() < 1e-12
@@ -88,10 +102,11 @@ def test_more_padding_for_smoother_kernel():
 
 
 def test_importance_order_sorted_by_eigenvalue():
-    emb = build_embedding(P1_KERNEL, UniformGrid(dim=2, points_per_axis=3))
-    order = emb.importance_order
+    grid = UniformGrid(dim=2, points_per_axis=3)
+    emb = build_embedding(P1_KERNEL, grid)
+    order = input_coordinates(emb)
     assert sorted(order) == list(range(emb.s))
-    eigs = emb._coord_eigs[order]
+    eigs = reference_coordinates(accepted_spectrum(P1_KERNEL, grid, emb))[0][order]
     assert np.all(np.diff(eigs) <= 1e-15)
     # ties broken by ascending canonical coordinate (frequency) index
     for j in range(emb.s - 1):
@@ -113,7 +128,7 @@ def test_fft_sampling_matches_dense_factor():
     for _ in range(10):
         y = rng.standard_normal(emb.s)
         fld = sample_field(emb, mean_values(emb, 0.3), y)
-        dense = B @ assign_inputs(emb, y) + 0.3
+        dense = B @ y + 0.3
         assert np.abs(fld.log_values.ravel() - dense).max() < 1e-10
 
 
@@ -161,12 +176,12 @@ def reference_coordinates(eigs):
     return coord_eigs, (self_f, own_f, part_f), (c_self, c_cos, c_sin)
 
 
-def reference_synthesis(emb, y):
-    """sqrt(s) * Re(ifftn) of the full Hermitian spectrum on the grid."""
-    eigs = emb.eigenvalues
+def reference_synthesis(emb, eigs, y):
+    """sqrt(s) * Re(ifftn) of the full Hermitian spectrum ``eigs`` on the
+    grid."""
     _, (self_f, own_f, part_f), (c_self, c_cos, c_sin) = reference_coordinates(eigs)
     y_canon = np.empty(emb.s)
-    y_canon[emb.importance_order] = y
+    y_canon[input_coordinates(emb)] = y
     spec = np.zeros(eigs.size, dtype=complex)
     spec[self_f] = y_canon[c_self]
     pair = (y_canon[c_cos] + 1j * y_canon[c_sin]) / np.sqrt(2.0)
@@ -192,7 +207,7 @@ def test_column_bitwise_equals_all_lag_evaluation(case, nu, doublings):
     kernel = MaternParams(sigma2=0.1, lambda_c=lam, nu=nu)
     grid = UniformGrid(dim=dim, points_per_axis=n)
     ext = 2 * (n - 1) * 2**doublings
-    col = _circulant_column(kernel, grid, ext)
+    col = cf._mirror(cf._lag_block(kernel, grid, ext // 2 + 1), ext)
     assert col.shape == (ext,) * dim
     assert col.tobytes() == reference_column(kernel, grid, ext).tobytes()
 
@@ -268,14 +283,15 @@ def test_embedding_spectrum_and_order_bitwise(case, kernel, tol, attempts):
     ext = emb.ext_per_axis
     if ref is not None and ref[0] == ext:
         # as much padding as the doubling search: its embedding, bitwise
-        assert emb.kernel is kernel and not emb.periodized
+        assert not emb.periodized
         _, clamped, eigs = ref
     else:
         # less: the periodized kernel, whose spectrum the reference takes
         # from its values on every lag
         assert ref is None or ext < ref[0]
-        assert emb.periodized and emb.kernel.params == kernel
-        eigs = np.fft.fftn(reference_column(emb.kernel, grid, ext)).real
+        assert emb.periodized and isinstance(kernel, MaternParams)
+        eigs = np.fft.fftn(reference_column(periodized_kernel(kernel, grid, ext),
+                                            grid, ext)).real
         clamped = int(np.count_nonzero(eigs < 0))
         eigs = np.maximum(eigs, 0.0)
     assert (emb.clamped, emb.s) == (clamped, ext**dim)
@@ -285,10 +301,11 @@ def test_embedding_spectrum_and_order_bitwise(case, kernel, tol, attempts):
     pos, amp = reference_spectrum_map(eigs, order)
     assert emb._spec_pos.dtype == np.int32 and np.array_equal(emb._spec_pos, pos)
     assert emb._spec_amp.tobytes() == amp.tobytes()
-    # the cached properties are computed again from the kernel
-    assert emb.eigenvalues.tobytes() == eigs.tobytes()
-    assert emb._coord_eigs.tobytes() == coord_eigs.tobytes()
-    assert np.array_equal(emb.importance_order, order)
+    assert np.array_equal(input_coordinates(emb), order)
+    # the search's spectrum, which ``cbc.ce_weights`` ranks, clamped
+    found = cf._search(kernel, grid, tol, attempts)
+    assert (found[0], found[1]) == (emb.periodized, ext)
+    assert np.maximum(found[2], 0.0).tobytes() == eigs.tobytes()
 
 
 # -- smooth periodization --------------------------------------------------------
@@ -324,10 +341,11 @@ def test_periodized_search_pads_less_and_keeps_the_law(case):
     # on every lag inside the domain the accepted column is the Matern
     # covariance bitwise, so the sampled field keeps its law on the grid
     inside = (slice(n),) * dim
-    col = _circulant_column(emb.kernel, grid, ext)
+    block = dict(cf._candidates(kernel, grid, ext, cf._lag_block(kernel, grid, ext // 2 + 1)))
+    col = cf._mirror(block[emb.periodized], ext)
     assert col[inside].tobytes() == reference_column(kernel, grid, ext)[inside].tobytes()
     if emb.periodized:
-        assert emb.kernel == cf._periodized(kernel, grid, ext)
+        assert cf._periodized(kernel, grid, ext) == ext * grid.spacing / 2
         # the column vanishes on lags at least half the period long
         dist = np.sqrt(sum(np.minimum(i, ext - i) ** 2 for i in np.indices(col.shape)))
         assert np.all(col[dist * grid.spacing >= ext * grid.spacing / 2] == 0.0)
@@ -345,10 +363,6 @@ def test_cutoff_is_one_inside_and_zero_past_the_half_period(inner, width, r):
         assert value == 0.0
     else:
         assert 0.0 <= value <= 1.0
-    p = PeriodizedMatern(MaternParams(0.1, 1.0, 2.5), inner, outer)
-    if r <= inner:
-        assert p(np.array([r]))[0] == matern_cov(p.params, np.array([r]))[0]
-    assert hash(p) == hash(PeriodizedMatern(p.params, inner, outer))
 
 
 def test_cutoff_decreases_through_one_half():
@@ -408,7 +422,7 @@ def test_embedding_build_memory(embedding_cache):
 
 
 def assert_same_embedding(a, b):
-    for name in ("grid", "ext_per_axis", "s", "clamped", "kernel", "fftn_calls"):
+    for name in ("grid", "ext_per_axis", "s", "clamped", "periodized", "fftn_calls"):
         assert getattr(a, name) == getattr(b, name), name
     for name in ("_spec_pos", "_spec_amp"):
         x, y = getattr(a, name), getattr(b, name)
@@ -424,12 +438,8 @@ def test_cache_hit_equals_build_bitwise(embedding_cache, kernel, grid):
     built = build_embedding(kernel, grid)
     loaded = build_embedding(kernel, grid)
     assert (built.from_cache, loaded.from_cache) == (False, True)
-    # a periodized hit rebuilds the periodized kernel (compared below)
-    assert built.periodized == loaded.periodized == (grid.dim == 3 or grid.points_per_axis == 17)
+    assert built.periodized == (grid.dim == 3 or grid.points_per_axis == 17)
     assert_same_embedding(built, loaded)
-    # the lazily computed properties come from the kernel, as on a build
-    assert loaded.eigenvalues.tobytes() == built.eigenvalues.tobytes()
-    assert np.array_equal(loaded.importance_order, built.importance_order)
     y = np.random.default_rng(3).standard_normal(built.s)
     zbar = mean_values(built, 0.2)
     assert sample_field(loaded, zbar, y).values.tobytes() == \
@@ -506,6 +516,11 @@ CORRUPTIONS = {
     "wrong s": lambda p: rewrite_cache_file(p, meta=lambda m: m * [1, 2, 1, 1, 1]),
     "wrong ext": lambda p: rewrite_cache_file(p, meta=lambda m: m // [2, 4, 1, 1, 1]),
     "periodized flag 2": lambda p: rewrite_cache_file(p, meta=lambda m: m + [0, 0, 0, 0, 2]),
+    # a file that is whole at 9 points' least extension, 16, flagged
+    # periodized: there half the period, 1, is not past the diameter sqrt(2)
+    "periodized below the cutoff": lambda p: rewrite_cache_file(
+        p, meta=lambda m: np.array([16, 256, 0, m[3], 1]),
+        pos=lambda a: a[:256] % cf._slot_count(16, 2), amp=lambda a: a[:256]),
     # format 2 stored six build facts: a DCT screen count before the FFTs
     "format 2": lambda p: rewrite_cache_file(p, meta=lambda m: np.insert(m, 3, m[3])),
     "a directory": lambda p: (p.unlink(), p.mkdir()),
@@ -584,8 +599,6 @@ def test_embedding_keeps_only_the_sampling_map():
     # four doublings; the three padded past the diameter try the
     # periodized kernel too, one full FFT per kernel tried
     assert (emb.ext_per_axis, emb.fftn_calls) == (128, 6)
-    order = emb.importance_order
-    assert emb.importance_order is order          # cached after first access
 
 
 @settings(max_examples=40, deadline=None)
@@ -593,10 +606,11 @@ def test_embedding_keeps_only_the_sampling_map():
        seed=st.integers(0, 2**32 - 1))
 def test_sample_field_matches_full_spectrum_synthesis(case, nu, seed):
     dim, n, lam = case
-    emb = build_embedding(MaternParams(sigma2=0.1, lambda_c=lam, nu=nu),
-                          UniformGrid(dim=dim, points_per_axis=n))
+    kernel = MaternParams(sigma2=0.1, lambda_c=lam, nu=nu)
+    grid = UniformGrid(dim=dim, points_per_axis=n)
+    emb = build_embedding(kernel, grid)
     y = np.random.default_rng(seed).standard_normal(emb.s)
-    ref = reference_synthesis(emb, y)
+    ref = reference_synthesis(emb, accepted_spectrum(kernel, grid, emb), y)
     fld = sample_field(emb, mean_values(emb, 0.25), y, level=3)
     assert fld.log_values.shape == (n,) * dim and fld.level == 3
     assert fld.log_values.flags.c_contiguous
@@ -604,8 +618,7 @@ def test_sample_field_matches_full_spectrum_synthesis(case, nu, seed):
     assert np.array_equal(fld.values, np.exp(fld.log_values))
     # the dense factor rows agree with the synthesis at the grid corners
     for i in (0, emb.grid.num_points - 1):
-        assert abs(factor_row(emb, i) @ assign_inputs(emb, y) - ref.flat[i]) \
-            <= 1e-10 * np.abs(ref).max()
+        assert abs(factor_row(emb, i) @ y - ref.flat[i]) <= 1e-10 * np.abs(ref).max()
 
 
 def test_input_length_mismatch():

@@ -468,9 +468,15 @@ class TestMainEntry:
         ({"objective": {"z": {"kind": "constant", "value": "x"}}}, "objective.z"),
         ({"objective": {"g": {"kind": "indicator_square", "lo": "a"}}}, "objective.g"),
         ({"qmc": {"generating_vector": "/nonexistent.txt"}}, "qmc.generating_vector"),
+        ({"qmc": {"n_min": 8}}, "n_min"),
+        ({"qmc": {"n_max": 2**70}}, "qmc.n_max"),
+        ({"objective": {"alpha": float("inf")}}, "objective.alpha"),
+        ({"objective": {"g": {"kind": "indicator_square", "hi": float("inf")}}},
+         "objective.g"),
     ], ids=["fe_offset_0", "L_string", "warmup_qmc_0", "kappa_negative",
             "unknown_geometry_key", "finest_mesh_over_257", "field_kind_unknown",
-            "field_value_string", "field_bound_string", "vector_path_missing"])
+            "field_value_string", "field_bound_string", "vector_path_missing",
+            "removed_qmc_n_min", "n_max_past_int64", "alpha_inf", "field_bound_inf"])
     def test_bad_value_exit_2(self, tmp_path, capsys, override, key):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(cli._deep_merge(TINY, override)))
@@ -600,8 +606,8 @@ def _not_int(lo):
 
 
 def _not_positive():
-    return st.one_of(st.floats(max_value=0.0), st.just(float("nan")), st.booleans(),
-                     st.text(max_size=3), st.none(), st.integers(max_value=0))
+    return st.one_of(st.floats(max_value=0.0), st.sampled_from([float("nan"), float("inf")]),
+                     st.booleans(), st.text(max_size=3), st.none(), st.integers(max_value=0))
 
 
 # every key the config validates, with values it must reject
@@ -610,11 +616,11 @@ BAD_VALUES = {
     ("geometry", "fe_offset"): st.one_of(
         _not_int(1), st.integers(cli.MAX_FE_EXPONENT, 50)),   # + L = 1 passes 8
     ("geometry", "ce_offset"): _not_int(0),
-    ("geometry", "ce_tol"): st.one_of(st.floats(max_value=-1e-300), st.just(float("nan")),
+    ("geometry", "ce_tol"): st.one_of(st.floats(max_value=-1e-300),
+                                      st.sampled_from([float("nan"), float("inf")]),
                                       st.text(max_size=3), st.none(), st.booleans()),
     ("qmc", "R"): _not_int(2),
-    ("qmc", "n_min"): st.one_of(_not_int(1), st.integers(2**20 + 1, 2**40)),
-    ("qmc", "n_max"): st.one_of(_not_int(1), st.integers(1, 7)),   # below n_min = 8
+    ("qmc", "n_max"): st.one_of(_not_int(2), st.integers(2**63 + 1, 2**80)),
     ("qmc", "generating_vector"): st.one_of(
         st.integers(), st.booleans(), st.lists(st.text(max_size=2), max_size=2),
         st.text("abcxyz", min_size=1, max_size=8).map(lambda t: f"/nonexistent/{t}.txt")),
@@ -629,6 +635,7 @@ BAD_VALUES = {
     ("estimator", "eps"): st.one_of(
         st.just([]), st.floats(), st.text(max_size=3),
         st.lists(st.floats(max_value=0.0), min_size=1, max_size=3),
+        st.sampled_from([[float("inf")], [float("inf"), 1e-2]]),
         st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=4).filter(
             lambda e: any(a <= b for a, b in zip(e, e[1:])))),
     ("problem", "sigma2"): _not_positive(),
@@ -639,9 +646,17 @@ BAD_VALUES = {
     ("objective", "alpha"): _not_positive(),
     ("objective", "g"): st.one_of(st.integers(), st.text(max_size=3), st.just({"kind": None}),
                                   st.just({"kind": "nope"}),
-                                  st.just({"kind": "constant", "value": "x"})),
+                                  st.just({"kind": "constant", "value": "x"}),
+                                  st.sampled_from([{"kind": "constant", "value": float("inf")},
+                                                   {"kind": "constant", "value": "Infinity"},
+                                                   {"kind": "indicator_square",
+                                                    "lo": -float("inf")}])),
     ("objective", "z"): st.one_of(st.none(), st.just({"kind": "indicator_square",
-                                                      "hi": "y"})),
+                                                      "hi": "y"}),
+                                  st.sampled_from([{"kind": "indicator_square",
+                                                    "hi": float("inf")},
+                                                   {"kind": "cosine_bumps",
+                                                    "scale": float("inf")}])),
     ("variance_study", "n_exp_min"): st.one_of(_not_int(0), st.integers(10, 40)),
     ("variance_study", "n_exp_max"): _not_int(0),
     ("variance_study", "fit_n_exp_min"): _not_int(0),

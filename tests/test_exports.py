@@ -33,7 +33,6 @@ def test_test_only_helpers_live_in_the_tests():
     for owner, name in ((qmc, "lattice_point"), (qmc, "radical_inverse"),
                         (qmc, "to_normal"), (fem.FeLevel, "eval_function"),
                         (circulant_field, "factor_row"),
-                        (circulant_field, "assign_inputs"),
                         (mlqmcgrad, "factor_row")):
         assert not hasattr(owner, name)
         assert name not in getattr(owner, "__all__", ())
