@@ -68,7 +68,7 @@ MAX_FE_EXPONENT = 8
 _DEFAULTS = {
     "problem": {"sigma2": 0.1, "lambda_c": 1.0, "nu": 0.5, "mean": 0.0},
     "geometry": {"L": 4, "fe_offset": 2, "ce_offset": 0, "ce_tol": 1e-13},
-    "qmc": {"generating_vector": None, "R": 10, "n_max": 2**20},
+    "qmc": {"generating_vector": None, "R": 10, "n_max": None},
     "estimator": {
         "method": "mlqmc",
         "eps": [1e-2, 3e-3, 1e-3, 3e-4, 1e-4],
@@ -125,8 +125,8 @@ _RULES = {
                                    "null or a path"),
     ("qmc", "R"): _int_from(2),
     # random entries below n_max are drawn and stored in int64
-    ("qmc", "n_max"): ((lambda v: _is_int(v) and 2 <= v <= 2**63),
-                       "an integer in [2, 2^63]"),
+    ("qmc", "n_max"): ((lambda v: v is None or (_is_int(v) and 2 <= v <= 2**63)),
+                       "null or an integer in [2, 2^63]"),
     ("estimator", "method"): ((lambda v: v in estimators.METHODS),
                               f"one of {estimators.METHODS}"),
     ("estimator", "eps"): ((lambda v: isinstance(v, list) and len(v) > 0
@@ -218,10 +218,15 @@ class RunConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"objective.{key}: {exc}") from None
         if not qcfg["generating_vector"]:
+            if qcfg["n_max"] is not None:
+                raise ConfigError(
+                    f"qmc.n_max applies only to a vector file named by "
+                    f"qmc.generating_vector, got {qcfg['n_max']!r} without one")
             return None
+        # null keeps load_generating_vector's own bound
+        limit = {} if qcfg["n_max"] is None else {"n_max": qcfg["n_max"]}
         try:
-            return qmc.load_generating_vector(qcfg["generating_vector"],
-                                              n_max=qcfg["n_max"])
+            return qmc.load_generating_vector(qcfg["generating_vector"], **limit)
         except (OSError, ValueError, OverflowError) as exc:
             raise ConfigError(f"qmc.generating_vector: {exc}") from None
 

@@ -260,19 +260,14 @@ def _sample_bytes(hier: LevelHierarchy, level: int, correction: bool) -> int:
 
     Its lattice point (integer and float), normals and half spectrum,
     8 bytes per entry; then on each FE level it solves on (the coarser
-    one too for a correction) its band factor, its stiffness data and
-    their block-diagonal indices, the stencil terms and values of its
-    coefficient (5 per triangle), its quadrature values (9 per
-    triangle) and the nodal vectors of its loads, solutions and
-    residuals (6 per node), 8 bytes each.
+    one too for a correction) the stencil terms of its coefficient, 8
+    bytes each, and the FE arrays that ``FeLevel.sample_bytes`` counts.
     """
     emb = hier.embeddings[level]
     spectrum = 2 * (emb.ext_per_axis // 2 + 1) * emb.ext_per_axis ** (emb.grid.dim - 1)
     total = 8 * (3 * emb.s + spectrum)
-    for lev in hier.fe_levels[level - correction:level + 1]:
-        band = lev.interior.size * (lev._band_kd + 1)
-        total += 8 * (band + 2 * lev.mass.nnz + 14 * lev.num_triangles
-                      + 6 * lev.num_nodes)
+    for ell in range(level - correction, level + 1):
+        total += 8 * hier.stencils[ell].index.size + hier.fe_levels[ell].sample_bytes
     return total
 
 

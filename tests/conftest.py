@@ -65,13 +65,40 @@ def rewrite_cache_file(path, meta=None, pos=None, amp=None):
 
 
 def quad_eval_matrix(lev):
-    """P1 evaluation at the quadrature points as a sparse matrix: row p
-    weighs the two end nodes of point p's edge by 0.5 each."""
-    ends = lev._quad_ends.T
+    """P1 evaluation at the quadrature points as a sparse matrix: row
+    3t + e weighs the two end nodes of edge e of triangle t (its local
+    vertices e and e + 1) by 0.5 each."""
+    ends = np.sort(np.stack([lev.triangles, np.roll(lev.triangles, -1, axis=1)],
+                            axis=-1), axis=-1).reshape(-1, 2)
     return sp.csr_matrix(
         (np.full(ends.size, 0.5), ends.ravel(), np.arange(0, ends.size + 1, 2)),
         shape=(ends.shape[0], lev.num_nodes))
 
+
+def stiffness_matrix(lev, A):
+    """One sample's stiffness grids from ``assemble_stiffness`` (diagonal,
+    east and south couplings on the node grid) as the symmetric sparse
+    matrix on the full node set."""
+    n, M = lev.nodes_per_axis, lev.num_nodes
+    node = np.arange(M).reshape(n, n)
+    rows, cols, vals = [node], [node], [A[0]]
+    for (p, q), v in (((node[:, :-1], node[:, 1:]), A[1][:, :-1]),
+                      ((node[:-1], node[1:]), A[2][:-1])):
+        rows += [p, q]
+        cols += [q, p]
+        vals += [v, v]
+    flat = [np.concatenate([x.ravel() for x in part]) for part in (vals, rows, cols)]
+    return sp.csr_matrix((flat[0], (flat[1], flat[2])), shape=(M, M))
+
+
+def mass_matrix(lev):
+    """The consistent P1 mass matrix, (A/12) [[2,1,1],[1,2,1],[1,1,2]]
+    scattered over every triangle."""
+    local = lev.tri_area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    rows = np.repeat(lev.triangles, 3, axis=1).ravel()
+    cols = np.tile(lev.triangles, (1, 3)).ravel()
+    return sp.coo_matrix((np.tile(local.ravel(), lev.num_triangles), (rows, cols)),
+                         shape=(lev.num_nodes, lev.num_nodes)).tocsr()
 
 
 def factor_row(e, i):

@@ -470,13 +470,15 @@ class TestMainEntry:
         ({"qmc": {"generating_vector": "/nonexistent.txt"}}, "qmc.generating_vector"),
         ({"qmc": {"n_min": 8}}, "n_min"),
         ({"qmc": {"n_max": 2**70}}, "qmc.n_max"),
+        ({"qmc": {"n_max": 64}}, "qmc.n_max applies only to a vector file"),
         ({"objective": {"alpha": float("inf")}}, "objective.alpha"),
         ({"objective": {"g": {"kind": "indicator_square", "hi": float("inf")}}},
          "objective.g"),
     ], ids=["fe_offset_0", "L_string", "warmup_qmc_0", "kappa_negative",
             "unknown_geometry_key", "finest_mesh_over_257", "field_kind_unknown",
             "field_value_string", "field_bound_string", "vector_path_missing",
-            "removed_qmc_n_min", "n_max_past_int64", "alpha_inf", "field_bound_inf"])
+            "removed_qmc_n_min", "n_max_past_int64", "n_max_without_vector",
+            "alpha_inf", "field_bound_inf"])
     def test_bad_value_exit_2(self, tmp_path, capsys, override, key):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(cli._deep_merge(TINY, override)))
@@ -591,6 +593,16 @@ class TestMainEntry:
         hier = cli.build_hierarchy_from_config(load_config(cfgp))
         assert [v.entries[:4].tolist() for v in hier.vectors] == [[1, 3, 5, 7]] * 2
 
+    def test_vector_file_takes_n_max(self, tmp_path):
+        # a named file's entries must lie below n_max; null keeps 2^20
+        vec = tmp_path / "v.txt"
+        vec.write_text("1\n3\n5\n7\n")
+        qcfg = {"generating_vector": str(vec)}
+        assert RunConfig.from_dict({"qmc": qcfg}).base_vector.n_max == 2**20
+        assert RunConfig.from_dict({"qmc": dict(qcfg, n_max=8)}).base_vector.n_max == 8
+        with pytest.raises(ConfigError, match="qmc.generating_vector"):
+            RunConfig.from_dict({"qmc": dict(qcfg, n_max=7)})
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(TINY))
@@ -620,7 +632,10 @@ BAD_VALUES = {
                                       st.sampled_from([float("nan"), float("inf")]),
                                       st.text(max_size=3), st.none(), st.booleans()),
     ("qmc", "R"): _not_int(2),
-    ("qmc", "n_max"): st.one_of(_not_int(2), st.integers(2**63 + 1, 2**80)),
+    # null is the default; a valid bound is refused too, since no vector
+    # file is named
+    ("qmc", "n_max"): st.one_of(_not_int(2).filter(lambda v: v is not None),
+                                st.integers(2, 2**80)),
     ("qmc", "generating_vector"): st.one_of(
         st.integers(), st.booleans(), st.lists(st.text(max_size=2), max_size=2),
         st.text("abcxyz", min_size=1, max_size=8).map(lambda t: f"/nonexistent/{t}.txt")),
@@ -734,12 +749,13 @@ def test_any_solver_or_allocation_failure_exits_3(overlay, seed):
 
 
 def test_cli_import_leaves_out_sparse_linalg():
-    # the run path needs no sparse solver; importing one costs start-up
-    # time and resident memory
-    code = "import sys, mlqmcgrad.cli; print('scipy.sparse.linalg' in sys.modules)"
+    # the run path needs no sparse matrix or solver; importing them costs
+    # start-up time and resident memory
+    code = ("import sys, mlqmcgrad.cli; "
+            "print(*(m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.linalg')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("env, preamble, expected", [

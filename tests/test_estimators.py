@@ -2,8 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import (control_bumps, make_hierarchy, quad_eval_matrix, target_indicator,
-                      zero_fn)
+from conftest import (control_bumps, make_hierarchy, mass_matrix, quad_eval_matrix,
+                      target_indicator, zero_fn)
 
 from mlqmcgrad import circulant_field
 from mlqmcgrad import estimators as est
@@ -202,7 +202,8 @@ class TestAdjointAgainstObjective:
             lev, _, q, weight = self.parts(hier, fields, ell)
             adjoint = modes(lev.quad_points) @ (
                 weight * (quad_eval_matrix(lev) @ q.nodal_values + alpha * z(lev.quad_points)))
-            paired = modes(lev.nodes) @ (lev.mass @ (q.nodal_values + alpha * z(lev.nodes)))
+            paired = modes(lev.nodes) @ (mass_matrix(lev)
+                                         @ (q.nodal_values + alpha * z(lev.nodes)))
             gaps.append(np.sqrt(np.mean((paired - adjoint) ** 2)))
         # level 0 (a 2 x 2 field grid) is not yet asymptotic; 4 is O(h^2)
         assert gaps[1] / gaps[2] >= 2.5

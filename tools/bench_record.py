@@ -9,6 +9,8 @@ its own.  Then times the tier-1 test suite.  The file records:
   names the checkout's commit, its ``src_sha256`` the measured source);
 - every run's last-line result, with the load average it started at;
 - the line count of each module under ``src/``, and their total;
+- the median wall time of 11 fresh ``python -c "import numpy"`` processes
+  and of 11 ``python -c "import mlqmcgrad.cli"`` ones, interleaved;
 - the tier-1 wall time and its summary line.
 
 Usage (from the repository root)::
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 WORKLOADS = ("p1-mlqmc-L4", "p2-mlqmc-L5", "p1-mlmc-L4")
 SEED, SECONDS = 1, 38       # every record runs the same length, so they compare
+IMPORTS, IMPORT_PROCESSES = ("numpy", "mlqmcgrad.cli"), 11
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -58,12 +62,31 @@ def bench(workload: str, trace: int):
     return json.loads(lines[0])["environment"], json.loads(lines[-1])
 
 
-def tier1() -> dict:
+def src_env() -> dict:
+    """The environment with ``src/`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def import_times() -> dict:
+    """Median wall time of a fresh process that imports each of
+    ``IMPORTS``, the modules taking turns."""
+    times = {name: [] for name in IMPORTS}
+    for _ in range(IMPORT_PROCESSES):
+        for name in IMPORTS:
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-c", f"import {name}"], cwd=ROOT,
+                           env=src_env(), check=True)
+            times[name].append(time.perf_counter() - t0)
+    return {"processes": IMPORT_PROCESSES,
+            "median_s": {name: round(statistics.median(t), 3) for name, t in times.items()}}
+
+
+def tier1() -> dict:
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=ROOT, env=src_env(), capture_output=True, text=True)
     wall = time.perf_counter() - t0
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     return {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
@@ -87,6 +110,7 @@ def main(argv=None) -> int:
                                    "result": result})
             print(f"{workload} --trace {trace}: done", file=sys.stderr, flush=True)
     record["src_lines"] = line_counts()
+    record["import"] = import_times()
     record["tier1"] = tier1()
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
